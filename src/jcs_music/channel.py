@@ -74,27 +74,21 @@ class NoiseConfig:
 @dataclass(frozen=True)
 class Beamformers:
     tx: np.ndarray                 # (PQ,), unit norm
-    rx_comm: np.ndarray            # (PrQr,), unit norm
+    rx_comm: np.ndarray            # (1,), unit norm
     tx_gains: np.ndarray           # chi_l = a(p_l)^T tx per path
 
 
-def build_beamformers(scenario: Scenario, tx_array: ArrayConfig,
-                      rx_array: ArrayConfig | None = None) -> Beamformers:
+def build_beamformers(scenario: Scenario,
+                      tx_array: ArrayConfig) -> Beamformers:
     """Least-squares beams aimed at the direct path.
 
     The pseudo-inverse of a single steering row is its scaled conjugate,
     so the unit-norm transmit beam is conj(a)/||a|| and the aligned gain
-    is ||a|| = sqrt(P*Q).
+    is ||a|| = sqrt(P*Q).  The MUE has a single receive antenna.
     """
     a0 = spatial_steering(tx_array, scenario.mue_path.aoa)
     w_tx = np.conj(a0) / np.linalg.norm(a0)
-    if rx_array is None or rx_array.size == 1:
-        w_rx = np.ones(1, dtype=complex)
-    else:
-        # MUE sees the direct path at broadside of its own frame; a full
-        # MUE-frame geometry is out of scope, so aim at boresight
-        ar = spatial_steering(rx_array, Angle2D(0.0, 0.0))
-        w_rx = ar / np.linalg.norm(ar)
+    w_rx = np.ones(1, dtype=complex)
     gains = np.array([spatial_steering(tx_array, p.aoa) @ w_tx
                       for p in scenario.paths])
     return Beamformers(tx=w_tx, rx_comm=w_rx, tx_gains=gains)

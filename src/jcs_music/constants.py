@@ -10,9 +10,6 @@ Selecting this value reproduces resolution figures quoted with c = 3e8
 (e.g. a 17.8571 m/s velocity bin) bit-for-bit.
 """
 
-BOLTZMANN = 1.38e-23
-"""Boltzmann constant, J/K (rounded value used for thermal noise floors)."""
-
 
 def speed_of_light(legacy: bool = False) -> float:
     """Return the speed of light, optionally the rounded legacy value."""

@@ -49,12 +49,6 @@ def initial_obs_variance(h_col: np.ndarray, tau_hat: float,
     return float(np.mean(np.abs(aligned - h_col[0]) ** 2))
 
 
-@dataclass(frozen=True)
-class KalmanDiagnostics:
-    transfer: complex
-    final_variance: float
-
-
 def kalman_enhance(h_hat: np.ndarray, tau_hat: float,
                    subcarrier_spacing: float, sigma_p2: float,
                    p_w0: float | None = None) -> np.ndarray:

@@ -133,6 +133,42 @@ def _principal_doppler(f: float, symbol_duration: float) -> float:
     return f - span if f > span / 2.0 else f
 
 
+def _scene(ctx: RunContext, scen_seed: int, **overrides) -> Scenario:
+    """The trial's scene from the config's scenario keys; a keyword
+    argument overrides one of n_scatterers, reflect_var and mue_x."""
+    cfg = ctx.config["scenario"]
+    kwargs = {"n_scatterers": int(cfg["n_scatterers"]),
+              "reflect_var": float(cfg["reflect_var"]),
+              "mue_x": cfg["mue_x"], **overrides}
+    return generate_scenario(scen_seed, **kwargs)
+
+
+def _beam_range(ctx: RunContext, wave: channel.WaveformConfig,
+                echo: channel.EchoRealization, angle: Angle2D):
+    """Range step of the per-beam chain: steer the receive beam at
+    `angle`, erase the symbols, and pick the MUSIC range the FFT anchor
+    associates.  Returns (h_bar, FFT result, round-trip range, range
+    source count)."""
+    w = channel.sense_rx_beamformer(ctx.array, angle)
+    h_bar = beamform_and_erase(echo.snapshots, w, echo.symbols)
+    per = fft_baseline.fft_range_doppler(h_bar, wave, c=ctx.c)
+    r_ests, dec_r = music_range(h_bar, wave, c=ctx.c)
+    r_rt = float(_nearest_estimate(r_ests, per.range_rt,
+                                   tol=0.6 * per.range_bin_width).value)
+    return h_bar, per, r_rt, dec_r.source_count
+
+
+def _beam_doppler(h_bar: np.ndarray, wave: channel.WaveformConfig,
+                  per: fft_baseline.PeriodogramResult, n_sources: int) -> float:
+    """Doppler step of the per-beam chain: the MUSIC Doppler the FFT
+    anchor associates, mapped to the principal interval."""
+    f_ests, _ = music_doppler(h_bar, wave, n_sources=n_sources)
+    f_est = _nearest_estimate(f_ests, per.doppler,
+                              period=1.0 / wave.symbol_duration,
+                              tol=0.6 * per.doppler_bin_width)
+    return _principal_doppler(float(f_est.value), wave.symbol_duration)
+
+
 def _local_location(d: float, az: float, el: float) -> np.ndarray:
     return d * np.array([np.sin(el) * np.cos(az),
                          np.sin(el) * np.sin(az),
@@ -145,9 +181,7 @@ def sensing_trial(ctx: RunContext, sinr_db: float, scen_seed: int,
     """One end-to-end sensing trial; per-metric squared errors for the
     direct path, for both the subspace and the on-grid estimators."""
     cfg = ctx.config["scenario"]
-    scenario = generate_scenario(scen_seed, n_scatterers=int(cfg["n_scatterers"]),
-                                 reflect_var=float(cfg["reflect_var"]),
-                                 mue_x=cfg["mue_x"])
+    scenario = _scene(ctx, scen_seed)
     beams = channel.build_beamformers(scenario, ctx.array)
     p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
                                          sinr_db, ctx.c)
@@ -167,19 +201,9 @@ def sensing_trial(ctx: RunContext, sinr_db: float, scen_seed: int,
         az_err = _wrap_angle(beam_angle.azimuth - truth.aoa.azimuth)
         el_err = beam_angle.elevation - truth.aoa.elevation
 
-    w_k = channel.sense_rx_beamformer(ctx.array, beam_angle)
-    h_bar = beamform_and_erase(echo.snapshots, w_k, echo.symbols)
-    per = fft_baseline.fft_range_doppler(h_bar, wave, c=ctx.c)
-
-    r_ests, dec_r = music_range(h_bar, wave, c=ctx.c)
-    r_hat = float(_nearest_estimate(r_ests, per.range_rt,
-                                    tol=0.6 * per.range_bin_width).value)
+    h_bar, per, r_hat, n_src = _beam_range(ctx, wave, echo, beam_angle)
     d_hat = r_hat / 2.0
-    f_ests, _ = music_doppler(h_bar, wave, n_sources=dec_r.source_count)
-    f_span = 1.0 / wave.symbol_duration
-    f_est = _nearest_estimate(f_ests, per.doppler, period=f_span,
-                              tol=0.6 * per.doppler_bin_width)
-    f_hat = _principal_doppler(float(f_est.value), wave.symbol_duration)
+    f_hat = _beam_doppler(h_bar, wave, per, n_src)
     v_hat = lam * f_hat / 2.0
 
     f_true = 2.0 * truth.v1 / lam
@@ -241,9 +265,7 @@ def ber_trial(ctx: RunContext, csinr_db: float, scen_seed: int,
     """One CSI-enhancement trial: BER for cases A (perfect CSI), B (raw
     LS), C (delay from subspace range estimate), D (delay from FFT bin)."""
     cfg = ctx.config["scenario"]
-    scenario = generate_scenario(scen_seed, n_scatterers=int(cfg["n_scatterers"]),
-                                 reflect_var=float(cfg["reflect_var"]),
-                                 mue_x=mue_x)
+    scenario = _scene(ctx, scen_seed, mue_x=mue_x)
     beams = channel.build_beamformers(scenario, ctx.array)
     p_tx = channel.calibrate_power_comm(scenario, ctx.wave, beams, ctx.noise,
                                         csinr_db, ctx.c)
@@ -260,13 +282,8 @@ def ber_trial(ctx: RunContext, csinr_db: float, scen_seed: int,
     echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
                                    rng, reflections=refl,
                                    fading=cfg["fading"], c=ctx.c)
-    w0 = channel.sense_rx_beamformer(ctx.array, scenario.mue_path.aoa)
-    h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
-    per = fft_baseline.fft_range_doppler(h_bar, wave, c=ctx.c)
-    r_ests, _ = music_range(h_bar, wave, c=ctx.c)
-    tau_music = float(_nearest_estimate(
-        r_ests, per.range_rt, tol=0.6 * per.range_bin_width).value) \
-        / (2.0 * ctx.c)
+    _, per, r_rt, _ = _beam_range(ctx, wave, echo, scenario.mue_path.aoa)
+    tau_music = r_rt / (2.0 * ctx.c)
     tau_fft = per.range_rt / (2.0 * ctx.c)
 
     # data frame over the same channel realization
@@ -320,11 +337,8 @@ def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
     """Normalized range and velocity spectra of one realization, with PSLR."""
     scen_seed, rng = trial_rng(master_seed, 0, 0)
     cfg = ctx.config["scenario"]
-    if n_scatterers is None:
-        n_scatterers = int(cfg["n_scatterers"])
-    scenario = generate_scenario(scen_seed, n_scatterers=n_scatterers,
-                                 reflect_var=float(cfg["reflect_var"]),
-                                 mue_x=cfg["mue_x"])
+    scenario = _scene(ctx, scen_seed) if n_scatterers is None \
+        else _scene(ctx, scen_seed, n_scatterers=n_scatterers)
     beams = channel.build_beamformers(scenario, ctx.array)
     p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
                                          sinr_db, ctx.c)
@@ -381,9 +395,7 @@ def validate_theory(ctx: RunContext, sinr_grid=(0.0, 5.0, 10.0),
     """
     scen_seed, _ = trial_rng(master_seed, 0, 0)
     cfg = ctx.config["scenario"]
-    scenario = generate_scenario(scen_seed, n_scatterers=int(cfg["n_scatterers"]),
-                                 reflect_var=float(cfg["reflect_var"]),
-                                 mue_x=cfg["mue_x"])
+    scenario = _scene(ctx, scen_seed)
     beams = channel.build_beamformers(scenario, ctx.array)
     truth = scenario.mue_path
     lam = ctx.wave.wavelength(ctx.c)
@@ -398,21 +410,9 @@ def validate_theory(ctx: RunContext, sinr_grid=(0.0, 5.0, 10.0),
             echo = channel.synthesize_echo(scenario, wave, ctx.array, beams,
                                            ctx.noise, rng,
                                            fading=cfg["fading"], c=ctx.c)
-            w0 = channel.sense_rx_beamformer(ctx.array, truth.aoa)
-            h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
-            per = fft_baseline.fft_range_doppler(h_bar, wave, c=ctx.c)
-            r_ests, dec_r = music_range(h_bar, wave, c=ctx.c)
-            d_hat = float(_nearest_estimate(
-                r_ests, per.range_rt,
-                tol=0.6 * per.range_bin_width).value) / 2.0
-            f_ests, _ = music_doppler(h_bar, wave,
-                                      n_sources=dec_r.source_count)
-            f_est = _nearest_estimate(f_ests, per.doppler,
-                                      period=1.0 / wave.symbol_duration,
-                                      tol=0.6 * per.doppler_bin_width)
-            f_hat = _principal_doppler(float(f_est.value),
-                                       wave.symbol_duration)
-            v_hat = lam * f_hat / 2.0
+            h_bar, per, r_rt, n_src = _beam_range(ctx, wave, echo, truth.aoa)
+            d_hat = r_rt / 2.0
+            v_hat = lam * _beam_doppler(h_bar, wave, per, n_src) / 2.0
             acc.setdefault("range_mse", {}).setdefault("music", []).append(
                 (d_hat - truth.d1) ** 2)
             acc.setdefault("velocity_mse", {}).setdefault("music", []).append(
@@ -439,11 +439,7 @@ def crb_table(ctx: RunContext, sinr_grid=None, master_seed: int = 0) -> ResultTa
     grid = list(ctx.config["sweep"]["sinr_grid_db"]) if sinr_grid is None \
         else list(sinr_grid)
     scen_seed, _ = trial_rng(master_seed, 0, 0)
-    cfg = ctx.config["scenario"]
-    scenario = generate_scenario(scen_seed, n_scatterers=int(cfg["n_scatterers"]),
-                                 reflect_var=float(cfg["reflect_var"]),
-                                 mue_x=cfg["mue_x"])
-    truth = scenario.mue_path
+    truth = _scene(ctx, scen_seed).mue_path
     rows = []
     for sinr in grid:
         b = theory.crb(ctx.wave, ctx.array, sinr, truth.aoa.azimuth,

@@ -1,5 +1,6 @@
-"""MUSIC estimators: 2D AoA search, per-beam symbol erasure, range and
-Doppler spectra, and coarse-grid plus Newton two-step refinement."""
+"""MUSIC estimators: 2D AoA search, per-beam symbol erasure, and one
+line-spectrum core for range and Doppler, each a coarse-grid search plus
+Newton refinement."""
 
 from __future__ import annotations
 
@@ -31,18 +32,26 @@ class SpectrumEstimate:
     converged: bool
 
 
-def _objective_1d(basis: np.ndarray, a: np.ndarray) -> float:
-    proj = basis.conj().T @ a
-    return float(np.real(np.vdot(proj, proj)))
+def _newton_step(g, h):
+    """Newton update h^-1 g for a scalar or a vector parameter; None on
+    singular curvature."""
+    if np.ndim(h) == 0:
+        return None if abs(h) < CURVATURE_TOL else g / h
+    if abs(np.linalg.det(h)) < CURVATURE_TOL:
+        return None
+    return np.linalg.solve(h, g)
 
 
-def newton_refine_1d(x0: float, derivs, scale: float) -> SpectrumEstimate:
-    """Minimize a 1-D spectrum objective by Newton descent.
+def newton_refine_1d(x0: float | np.ndarray, derivs,
+                     scale: float) -> SpectrumEstimate:
+    """Minimize a spectrum objective by Newton descent.
 
-    derivs(x) must return (f, f', f'').  scale is the parameter's natural
-    unit (coarse cell width); iteration stops once |update| < tol * scale.
-    On singular curvature or an objective increase the start point is
-    kept and the estimate flagged unconverged.
+    x0 is a scalar or a 1-D parameter vector; derivs(x) must return
+    (f, gradient, Hessian) of matching shape.  scale is the parameter's
+    natural unit (coarse cell width); iteration stops once every
+    |update| < tol * scale.  On singular curvature or an objective
+    increase the start point is kept and the estimate flagged
+    unconverged.
     """
     x = x0
     f0, _, _ = derivs(x0)
@@ -51,17 +60,17 @@ def newton_refine_1d(x0: float, derivs, scale: float) -> SpectrumEstimate:
     it = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
         f, g, h = derivs(x)
-        if abs(h) < CURVATURE_TOL:
+        step = _newton_step(g, h)
+        if step is None:
             x, f_best = x0, f0
             break
-        step = g / h
         x_new = x - step
         f_new, _, _ = derivs(x_new)
         if f_new > f_best + 1e-12:
             x, f_best = x0, f0
             break
         x, f_best = x_new, f_new
-        if abs(step) < NEWTON_TOL * scale:
+        if np.max(np.abs(step)) < NEWTON_TOL * scale:
             converged = True
             break
     f_final, _, _ = derivs(x)
@@ -71,12 +80,11 @@ def newton_refine_1d(x0: float, derivs, scale: float) -> SpectrumEstimate:
 
 
 def _peaks_1d(spec: np.ndarray, n_peaks: int) -> np.ndarray:
-    """Indices of strict local maxima, strongest first, top n_peaks."""
+    """Indices of strict local maxima on a periodic grid, strongest first,
+    top n_peaks."""
     left = np.roll(spec, 1)
     right = np.roll(spec, -1)
     mask = (spec > left) & (spec > right)
-    mask[0] = spec[0] > spec[1]
-    mask[-1] = spec[-1] > spec[-2]
     idx = np.flatnonzero(mask)
     if len(idx) == 0:
         idx = np.array([int(np.argmax(spec))])
@@ -181,31 +189,7 @@ def _newton_refine_aoa(p0: np.ndarray, noise_basis: np.ndarray,
                 hess[r_, c_] += 2.0 * np.real(np.vdot(second[:, r_, c_], wa))
         return f, grad, hess
 
-    p = p0.copy()
-    f0, _, _ = evaluate(p0)
-    f_best = f0
-    converged = False
-    it = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        f, g, h = evaluate(p)
-        det = np.linalg.det(h)
-        if abs(det) < CURVATURE_TOL:
-            p, f_best = p0.copy(), f0
-            break
-        step = np.linalg.solve(h, g)
-        p_new = p - step
-        f_new, _, _ = evaluate(p_new)
-        if f_new > f_best + 1e-12:
-            p, f_best = p0.copy(), f0
-            break
-        p, f_best = p_new, f_new
-        if np.max(np.abs(step)) < NEWTON_TOL * scale:
-            converged = True
-            break
-    f_final, _, _ = evaluate(p)
-    return SpectrumEstimate(value=p, spectrum=1.0 / max(f_final, 1e-300),
-                            objective=f_final, iterations=it,
-                            converged=converged)
+    return newton_refine_1d(p0, evaluate, scale)
 
 
 def beamform_and_erase(snapshots: np.ndarray, w_rx: np.ndarray,
@@ -221,28 +205,40 @@ def beamform_and_erase(snapshots: np.ndarray, w_rx: np.ndarray,
     return ybar / symbols
 
 
-def music_range(h_bar: np.ndarray, wave: WaveformConfig,
-                c: float = SPEED_OF_LIGHT, epsilon: float = 1.0,
-                n_sources: int | None = None, n_peaks: int | None = None):
-    """Round-trip range estimates from a per-beam channel matrix."""
-    nc = wave.n_subcarriers
-    r_cov = covariance(h_bar)          # (N_c, N_c), divides by M_s
-    dec = decompose(r_cov, epsilon=epsilon,
-                    max_rank=min(h_bar.shape), n_sources=n_sources)
-    us, un = dec.signal_basis, dec.noise_basis
+def _ramp_grid_spectrum(signal_basis: np.ndarray, n_grid: int,
+                        sign: int) -> np.ndarray:
+    """Pseudo-spectrum of the phase ramp a_i[k] = exp(sign j 2 pi k i / n_grid)
+    at i = 0 .. n_grid - 1.
 
-    r_max = c / wave.subcarrier_spacing           # unambiguous round trip
-    step = c / (4.0 * wave.bandwidth)             # half the FFT bin
-    grid = np.arange(0.0, r_max, step)
-    a_grid = range_steering_grid(nc, wave.subcarrier_spacing, grid, c)
-    f_grid = nc - np.sum(np.abs(us.conj().T @ a_grid) ** 2, axis=0)
-    spec = 1.0 / np.maximum(f_grid, 1e-300)
+    U_s^H a_i over the whole grid is one zero-padded DFT of the signal
+    basis (conjugated for the negative ramp), so no steering matrix is
+    built.
+    """
+    basis = signal_basis.conj() if sign < 0 else signal_basis
+    proj = np.fft.fft(basis, n=n_grid, axis=0)
+    f = signal_basis.shape[0] - np.sum(np.abs(proj) ** 2, axis=1)
+    return 1.0 / np.maximum(f, 1e-300)
 
-    take = dec.source_count if n_peaks is None else n_peaks
-    idx = _peaks_1d(spec, take)
 
-    def derivs(r):
-        a, a1, a2 = range_steering_derivs(nc, wave.subcarrier_spacing, float(r), c)
+def _line_spectrum_music(snapshots: np.ndarray, n_grid: int, sign: int,
+                         step: float, ramp_derivs, epsilon: float,
+                         n_sources: int | None):
+    """Line-spectrum MUSIC for a phase ramp down the rows of `snapshots`.
+
+    The ramp has period n_grid * step in its parameter x, with sign and
+    derivatives ramp_derivs(x) = (a, a', a'').  The coarse grid
+    x_i = i * step covers one period; each of the source_count strongest
+    grid peaks is refined by Newton on the noise-subspace objective
+    ||U_n^H a(x)||^2.  Returns (estimates, decomposition).
+    """
+    dec = decompose(covariance(snapshots), epsilon=epsilon,
+                    max_rank=min(snapshots.shape), n_sources=n_sources)
+    spec = _ramp_grid_spectrum(dec.signal_basis, n_grid, sign)
+    idx = _peaks_1d(spec, dec.source_count)
+    un = dec.noise_basis
+
+    def derivs(x):
+        a, a1, a2 = ramp_derivs(float(x))
         wa = un @ (un.conj().T @ a)
         f = float(np.real(np.vdot(a, wa)))
         g = 2.0 * float(np.real(np.vdot(a1, wa)))
@@ -250,42 +246,51 @@ def music_range(h_bar: np.ndarray, wave: WaveformConfig,
         h = 2.0 * float(np.real(np.vdot(a2, wa)) + np.real(np.vdot(a1, wa1)))
         return f, g, h
 
-    estimates = [newton_refine_1d(float(grid[i]), derivs, step) for i in idx]
+    estimates = [newton_refine_1d(float(i * step), derivs, step) for i in idx]
     return estimates, dec
+
+
+def music_range(h_bar: np.ndarray, wave: WaveformConfig,
+                c: float = SPEED_OF_LIGHT, epsilon: float = 1.0,
+                n_sources: int | None = None):
+    """Round-trip range estimates from a per-beam channel matrix.
+
+    The ramp runs across subcarriers; the coarse grid steps half an FFT
+    range bin over the unambiguous round trip c / df.
+    """
+    nc, df = wave.n_subcarriers, wave.subcarrier_spacing
+    return _line_spectrum_music(
+        h_bar, 4 * nc, -1, c / (4.0 * wave.bandwidth),
+        lambda r: range_steering_derivs(nc, df, r, c), epsilon, n_sources)
 
 
 def music_doppler(h_bar: np.ndarray, wave: WaveformConfig,
-                  epsilon: float = 1.0, n_sources: int | None = None,
-                  n_peaks: int | None = None):
-    """Doppler-frequency estimates from a per-beam channel matrix."""
-    ms = wave.n_symbols
-    r_cov = covariance(h_bar.T)         # (1/N_c) H^T H^*
-    dec = decompose(r_cov, epsilon=epsilon,
-                    max_rank=min(h_bar.shape), n_sources=n_sources)
-    us, un = dec.signal_basis, dec.noise_basis
+                  epsilon: float = 1.0, n_sources: int | None = None):
+    """Doppler-frequency estimates from a per-beam channel matrix.
 
-    t = wave.symbol_duration
-    f_max = 1.0 / t
-    step = 1.0 / (2.0 * ms * t)
-    grid = np.arange(0.0, f_max, step)
-    a_grid = doppler_steering_grid(ms, t, grid)
-    f_grid = ms - np.sum(np.abs(us.conj().T @ a_grid) ** 2, axis=0)
-    spec = 1.0 / np.maximum(f_grid, 1e-300)
+    The ramp runs across OFDM symbols; the coarse grid steps half an FFT
+    Doppler bin over the unambiguous interval [0, 1/T).
+    """
+    ms, t = wave.n_symbols, wave.symbol_duration
+    return _line_spectrum_music(
+        h_bar.T, 2 * ms, 1, 1.0 / (2.0 * ms * t),
+        lambda f: doppler_steering_derivs(ms, t, f), epsilon, n_sources)
 
-    take = dec.source_count if n_peaks is None else n_peaks
-    idx = _peaks_1d(spec, take)
 
-    def derivs(f):
-        a, a1, a2 = doppler_steering_derivs(ms, t, float(f))
-        wa = un @ (un.conj().T @ a)
-        fv = float(np.real(np.vdot(a, wa)))
-        g = 2.0 * float(np.real(np.vdot(a1, wa)))
-        wa1 = un @ (un.conj().T @ a1)
-        h = 2.0 * float(np.real(np.vdot(a2, wa)) + np.real(np.vdot(a1, wa1)))
-        return fv, g, h
-
-    estimates = [newton_refine_1d(float(grid[i]), derivs, step) for i in idx]
-    return estimates, dec
+def _grid_spectrum(snapshots: np.ndarray, steering_grid,
+                   n_sources: int | None, window: int | None) -> np.ndarray:
+    """MUSIC pseudo-spectrum of the rows of `snapshots` at the steering
+    vectors steering_grid(dim) returns, shape (dim, n_points)."""
+    if window is None:
+        dec = decompose(covariance(snapshots), max_rank=min(snapshots.shape),
+                        n_sources=n_sources)
+    else:
+        dec = decompose(smoothed_covariance(snapshots, window),
+                        n_sources=n_sources)
+    dim = dec.signal_basis.shape[0]
+    a_grid = steering_grid(dim)
+    f = dim - np.sum(np.abs(dec.signal_basis.conj().T @ a_grid) ** 2, axis=0)
+    return 1.0 / np.maximum(f, 1e-300)
 
 
 def range_spectrum(h_bar: np.ndarray, wave: WaveformConfig,
@@ -298,17 +303,10 @@ def range_spectrum(h_bar: np.ndarray, wave: WaveformConfig,
     instead of the plain one; robust at very low SINR at the cost of a
     wider main lobe.
     """
-    if window is None:
-        dim = wave.n_subcarriers
-        dec = decompose(covariance(h_bar), max_rank=min(h_bar.shape),
-                        n_sources=n_sources)
-    else:
-        dim = window
-        dec = decompose(smoothed_covariance(h_bar, window),
-                        n_sources=n_sources)
-    a_grid = range_steering_grid(dim, wave.subcarrier_spacing, grid, c)
-    f = dim - np.sum(np.abs(dec.signal_basis.conj().T @ a_grid) ** 2, axis=0)
-    return 1.0 / np.maximum(f, 1e-300)
+    return _grid_spectrum(
+        h_bar, lambda dim: range_steering_grid(dim, wave.subcarrier_spacing,
+                                               grid, c),
+        n_sources, window)
 
 
 def doppler_spectrum(h_bar: np.ndarray, wave: WaveformConfig,
@@ -316,14 +314,7 @@ def doppler_spectrum(h_bar: np.ndarray, wave: WaveformConfig,
                      n_sources: int | None = None,
                      window: int | None = None) -> np.ndarray:
     """MUSIC Doppler pseudo-spectrum sampled on an arbitrary grid."""
-    if window is None:
-        dim = wave.n_symbols
-        dec = decompose(covariance(h_bar.T), max_rank=min(h_bar.shape),
-                        n_sources=n_sources)
-    else:
-        dim = window
-        dec = decompose(smoothed_covariance(h_bar.T, window),
-                        n_sources=n_sources)
-    a_grid = doppler_steering_grid(dim, wave.symbol_duration, grid)
-    f = dim - np.sum(np.abs(dec.signal_basis.conj().T @ a_grid) ** 2, axis=0)
-    return 1.0 / np.maximum(f, 1e-300)
+    return _grid_spectrum(
+        h_bar.T, lambda dim: doppler_steering_grid(dim, wave.symbol_duration,
+                                                   grid),
+        n_sources, window)

@@ -108,8 +108,12 @@ def decompose(cov: np.ndarray, epsilon: float = 1.0,
     """Eigendecompose a covariance and split signal/noise subspaces.
 
     If n_sources is given it overrides the gap-based count (used when one
-    stage reuses the count detected by another).
+    stage reuses the count detected by another); it must leave both
+    subspaces nonempty, 1 <= n_sources < dim.
     """
+    dim = cov.shape[0]
+    if n_sources is not None and not 1 <= n_sources < dim:
+        raise ValueError(f"n_sources must be in [1, {dim}), got {n_sources}")
     w, u = np.linalg.eigh(cov)
     order = np.argsort(w)[::-1]
     w = w[order]

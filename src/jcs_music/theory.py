@@ -53,10 +53,6 @@ def _complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     return std * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-def _null_basis(u_full: np.ndarray, rank: int) -> np.ndarray:
-    return u_full[:, rank:]
-
-
 def _effective_rank(s: np.ndarray, n_rows: int, n_cols: int,
                     noise_var: float, max_rank: int) -> int:
     """Signal components the estimator can actually resolve.
@@ -92,8 +88,7 @@ def aoa_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
     sigma_w2 = noise.total_sense_var
     rank = _effective_rank(s, y.shape[0], y.shape[1], sigma_w2,
                            scenario.n_paths)
-    u_s, s_s = u[:, :rank], s[:rank]
-    u_0 = _null_basis(u, rank)
+    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
 
     p0 = scenario.mue_path.aoa
     a = spatial_steering(array, p0)
@@ -121,6 +116,24 @@ def _beam_channel_noiseless(scenario: Scenario, wave: WaveformConfig,
     return ybar / real.symbols
 
 
+def _ramp_perturbation_draws(h_p: np.ndarray, a, a1, sigma_tr2: float,
+                             n_paths: int, rng: np.random.Generator,
+                             n_draws: int) -> np.ndarray:
+    """Draws of one line-spectrum stage's parameter error.
+
+    The phase ramp runs down the rows of the noiseless matrix h_p; a and
+    a1 are its steering vector and derivative at the true parameter.
+    """
+    u, s, _ = np.linalg.svd(h_p, full_matrices=True)
+    rank = _effective_rank(s, h_p.shape[0], h_p.shape[1], sigma_tr2, n_paths)
+    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
+    proj1 = u_0 @ (u_0.conj().T @ a1)
+    h_0 = float(np.real(np.vdot(a1, proj1)))
+    vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
+    z = _complex_normal(rng, (h_p.shape[0], n_draws), sigma_tr2 * vnorm2)
+    return np.real(proj1.conj().T @ z) / h_0
+
+
 def range_doppler_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
                                      array: ArrayConfig, beams: Beamformers,
                                      noise: NoiseConfig,
@@ -131,39 +144,22 @@ def range_doppler_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
 
     Returns (delta_r_rt, delta_f), each shape (n_draws,).  The effective
     per-entry noise variance accounts for the unit-norm beamformer and
-    the symbol division's power inflation E[1/|d|^2].
+    the symbol division's power inflation E[1/|d|^2].  The range stage
+    draws from rng before the Doppler stage.
     """
     h_p = _beam_channel_noiseless(scenario, wave, array, beams, noise, rng, c)
     sigma_tr2 = noise.total_sense_var * inverse_symbol_power(wave.qam_order)
     lam = wave.wavelength(c)
+    p0 = scenario.mue_path
 
-    # range stage: SVD of the (N_c x M_s) noiseless matrix
-    u, s, _ = np.linalg.svd(h_p, full_matrices=True)
-    rank = _effective_rank(s, wave.n_subcarriers, wave.n_symbols,
-                           sigma_tr2, scenario.n_paths)
-    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
-    r0 = 2.0 * scenario.mue_path.d1
     a, a1, _ = range_steering_derivs(wave.n_subcarriers,
-                                     wave.subcarrier_spacing, r0, c)
-    proj1 = u_0 @ (u_0.conj().T @ a1)
-    h_r0 = float(np.real(np.vdot(a1, proj1)))
-    vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
-    z = _complex_normal(rng, (wave.n_subcarriers, n_draws),
-                        sigma_tr2 * vnorm2)
-    delta_r = np.real(proj1.conj().T @ z) / h_r0
-
-    # Doppler stage: SVD of the transposed matrix
-    u, s, _ = np.linalg.svd(h_p.T, full_matrices=True)
-    rank = _effective_rank(s, wave.n_symbols, wave.n_subcarriers,
-                           sigma_tr2, scenario.n_paths)
-    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
-    f0 = 2.0 * scenario.mue_path.v1 / lam
-    a, a1, _ = doppler_steering_derivs(wave.n_symbols, wave.symbol_duration, f0)
-    proj1 = u_0 @ (u_0.conj().T @ a1)
-    h_f0 = float(np.real(np.vdot(a1, proj1)))
-    vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
-    z = _complex_normal(rng, (wave.n_symbols, n_draws), sigma_tr2 * vnorm2)
-    delta_f = np.real(proj1.conj().T @ z) / h_f0
+                                     wave.subcarrier_spacing, 2.0 * p0.d1, c)
+    delta_r = _ramp_perturbation_draws(h_p, a, a1, sigma_tr2,
+                                       scenario.n_paths, rng, n_draws)
+    a, a1, _ = doppler_steering_derivs(wave.n_symbols, wave.symbol_duration,
+                                       2.0 * p0.v1 / lam)
+    delta_f = _ramp_perturbation_draws(h_p.T, a, a1, sigma_tr2,
+                                       scenario.n_paths, rng, n_draws)
     return delta_r, delta_f
 
 

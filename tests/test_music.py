@@ -6,11 +6,13 @@ import pytest
 
 from jcs_music import channel
 from jcs_music.channel import NoiseConfig, WaveformConfig
-from jcs_music.music import (SpectrumEstimate, beamform_and_erase,
-                             doppler_spectrum, music_aoa, music_doppler,
-                             music_range, newton_refine_1d, range_spectrum)
+from jcs_music.music import (SpectrumEstimate, _peaks_1d, _ramp_grid_spectrum,
+                             beamform_and_erase, doppler_spectrum, music_aoa,
+                             music_doppler, music_range, newton_refine_1d,
+                             range_spectrum)
 from jcs_music.scenario import generate_scenario
-from jcs_music.steering import (ArrayConfig, range_steering, spatial_steering)
+from jcs_music.steering import (ArrayConfig, doppler_steering, range_steering,
+                                spatial_steering)
 from jcs_music.subspace import covariance, decompose
 
 C = 299792458.0
@@ -117,6 +119,19 @@ def test_newton_exact_quadratic_one_step():
     assert est.value == pytest.approx(target, abs=1e-12)
     assert est.iterations <= 2  # one descent step plus the stop check
 
+    # the same routine refines a vector parameter (the AoA pair)
+    target2 = np.array([0.4, -1.3])
+    hess = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+    def derivs2(p):
+        d = p - target2
+        return float(d @ hess @ d), 2.0 * hess @ d, 2.0 * hess
+
+    est = newton_refine_1d(np.zeros(2), derivs2, scale=1.0)
+    assert est.converged
+    np.testing.assert_allclose(est.value, target2, atol=1e-12)
+    assert est.iterations <= 2
+
 
 def test_newton_fixed_point_stays_put():
     def derivs(x):
@@ -152,6 +167,50 @@ def test_spectrum_reciprocity():
 
     est = newton_refine_1d(0.0, derivs, scale=1.0)
     assert est.spectrum * est.objective == pytest.approx(1.0, rel=1e-9)
+
+
+def test_peaks_wrap_is_one_peak():
+    """The range and Doppler grids are periodic: a maximum straddling the
+    wrap (indices -1 and 0) is one peak, reported once."""
+    spec = np.array([4.0, 2.0, 1.0, 0.5, 1.0, 2.0, 3.9])
+    np.testing.assert_array_equal(_peaks_1d(spec, 2), [0])
+    np.testing.assert_array_equal(_peaks_1d(spec[::-1], 2), [6])
+
+
+@pytest.mark.parametrize("wave", [WaveformConfig(),
+                                  WaveformConfig(n_subcarriers=64,
+                                                 n_symbols=32)],
+                         ids=["default", "small"])
+def test_fft_coarse_grid_matches_steering_spectrum(wave, rng):
+    """The coarse range and Doppler grids hold one ramp period in exactly
+    4*N_c and 2*M_s points, Newton's start points i*step are the grid
+    points, and the zero-padded-DFT pseudo-spectrum equals the
+    steering-matrix one on them."""
+    nc, ms = wave.n_subcarriers, wave.n_symbols
+    df, t = wave.subcarrier_spacing, wave.symbol_duration
+    h_bar = rng.normal(size=(nc, ms)) + 1j * rng.normal(size=(nc, ms))
+    for r, fd in ((37.2, 1.5e3), (120.9, -2.2e4)):
+        h_bar += 3.0 * np.outer(range_steering(nc, df, r, C),
+                                doppler_steering(ms, t, fd))
+
+    r_step = C / (4.0 * wave.bandwidth)
+    r_grid = np.arange(0.0, C / df, r_step)
+    f_step = 1.0 / (2.0 * ms * t)
+    f_grid = np.arange(0.0, 1.0 / t, f_step)
+    assert len(r_grid) == 4 * nc
+    assert len(f_grid) == 2 * ms
+    np.testing.assert_array_equal(r_grid, np.arange(4 * nc) * r_step)
+    np.testing.assert_array_equal(f_grid, np.arange(2 * ms) * f_step)
+
+    us_r = decompose(covariance(h_bar), max_rank=min(h_bar.shape)).signal_basis
+    us_f = decompose(covariance(h_bar.T),
+                     max_rank=min(h_bar.shape)).signal_basis
+    np.testing.assert_allclose(_ramp_grid_spectrum(us_r, 4 * nc, -1),
+                               range_spectrum(h_bar, wave, r_grid, c=C),
+                               rtol=1e-12)
+    np.testing.assert_allclose(_ramp_grid_spectrum(us_f, 2 * ms, 1),
+                               doppler_spectrum(h_bar, wave, f_grid),
+                               rtol=1e-12)
 
 
 # -- end-to-end noiseless estimates -------------------------------------

@@ -117,10 +117,16 @@ def test_decompose_orthonormal_split(rng):
 
 
 def test_decompose_n_sources_override(rng):
-    dec = decompose(_two_source_cov(rng), n_sources=3)
+    cov = _two_source_cov(rng)
+    dec = decompose(cov, n_sources=3)
     assert dec.source_count == 3
     assert dec.signal_basis.shape[1] == 3
     assert not dec.fallback
+    # both subspaces must stay nonempty: 1 <= n_sources < dim
+    assert decompose(cov, n_sources=7).noise_basis.shape[1] == 1
+    for bad in (0, 8, 9):
+        with pytest.raises(ValueError, match="n_sources"):
+            decompose(cov, n_sources=bad)
 
 
 # -- subaperture smoothing ----------------------------------------------
