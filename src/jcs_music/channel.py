@@ -217,20 +217,25 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
 
     steering = np.column_stack([spatial_steering(tx_array, p.aoa)
                                 for p in scenario.paths])
-    signal = np.zeros((tx_array.size, nc, ms), dtype=complex)
+    shape = (tx_array.size, nc, ms)
+    signal = np.zeros(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex)  # one path's contribution, reused
     amp = np.sqrt(wave.tx_power)
     for l in range(scenario.n_paths):
         b = echo_amplitude(scenario, wave, l, c) * reflections[l]
         gain = b * beams.tx_gains[l]
         contrib = amp * gain * symbols * path_phases(scenario, wave, l, c)
-        signal += steering[:, l][:, None, None] * contrib[None, :, :]
+        signal += np.multiply(steering[:, l][:, None, None], contrib, out=term)
+    del term  # free before the noise buffers: this sets the peak memory
 
-    if noiseless:
-        nse = np.zeros_like(signal)
-    else:
-        std = np.sqrt(noise.total_sense_var / 2.0)
-        nse = std * (rng.normal(size=signal.shape)
-                     + 1j * rng.normal(size=signal.shape))
+    nse = np.zeros(shape, dtype=complex)
+    if not noiseless:
+        # the stream and the values of std * (normal + 1j * normal): real
+        # parts first, then imaginary parts
+        z = rng.standard_normal((2,) + shape)
+        z *= np.sqrt(noise.total_sense_var / 2.0)
+        nse.real, nse.imag = z
+        del z
     return EchoRealization(snapshots=signal + nse, signal=signal, noise=nse,
                            symbols=symbols, labels=labels,
                            reflections=reflections, steering=steering)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -62,11 +64,47 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _is_number(val: Any, integer: bool = False) -> bool:
+    """A finite real that is not a bool; with ``integer``, also integral."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        return False
+    if isinstance(val, numbers.Integral):
+        return True
+    return math.isfinite(val) and (not integer or float(val).is_integer())
+
+
+def _check_types(cfg: dict, base: dict = DEFAULTS, path: str = "") -> None:
+    """Every value must have the type of its default: integer defaults take
+    integral numbers, float defaults finite numbers, a None default a
+    number or null, a list default a list of numbers."""
+    for key, default in base.items():
+        here = f"{path}.{key}" if path else key
+        val = cfg[key]
+        if isinstance(default, dict):
+            _check_types(val, default, here)
+            continue
+        if isinstance(default, bool):
+            ok, want = isinstance(val, bool), "true or false"
+        elif isinstance(default, str):
+            ok, want = isinstance(val, str), "a string"
+        elif isinstance(default, list):
+            ok = isinstance(val, list) and all(_is_number(v) for v in val)
+            want = "a list of finite numbers"
+        elif isinstance(default, int):
+            ok, want = _is_number(val, integer=True), "an integer"
+        else:
+            ok = (val is None and default is None) or _is_number(val)
+            want = "a finite number" + (" or null" if default is None else "")
+        if not ok:
+            raise ConfigError(f"{here}: expected {want}, got {val!r}")
+
+
 def _validate(cfg: dict) -> None:
     def require(cond, msg):
         if not cond:
             raise ConfigError(msg)
 
+    _check_types(cfg)
     require(cfg["schema"] == SCHEMA_VERSION,
             f"schema: expected version {SCHEMA_VERSION}")
     arr = cfg["array"]

@@ -27,58 +27,71 @@ def estimate_sigma_p(h_hat: np.ndarray) -> float:
     For an LoS-dominant channel the per-snapshot covariance
     H H^H / M_s has one signal eigenvalue; the remaining eigenvalues
     (structural zeros included) average to the per-entry noise variance
-    when divided by N_c - 1.
+    when divided by N_c - 1.  The nonzero eigenvalues are s_k^2 / M_s for
+    the singular values s_k of H, so the N_c x N_c covariance is never
+    formed.
     """
     nc = h_hat.shape[0]
     if nc < 2:
         raise ValueError("need at least two subcarriers")
-    cov = h_hat @ h_hat.conj().T / h_hat.shape[1]
-    w = np.linalg.eigvalsh(cov)
-    # eigvalsh is ascending: all but the last are the trailing ones
-    return float(max(w[:-1].sum(), 0.0) / (nc - 1))
+    s = np.linalg.svd(h_hat, compute_uv=False)
+    # svd is descending: all but the first are the trailing ones
+    return float(np.sum(s[1:] ** 2) / h_hat.shape[1] / (nc - 1))
 
 
-def initial_obs_variance(h_col: np.ndarray, tau_hat: float,
-                         subcarrier_spacing: float) -> float:
-    """Mean squared mismatch of phase-aligned subcarriers to the first one."""
-    nc = len(h_col)
+def initial_obs_variance(h: np.ndarray, tau_hat: float,
+                         subcarrier_spacing: float) -> float | np.ndarray:
+    """Mean squared mismatch of phase-aligned subcarriers to the first one.
+
+    A (N_c,) column gives a float; a (N_c, M_s) matrix gives one value
+    per column.
+    """
+    h = np.asarray(h)
+    nc = h.shape[0]
     if nc < 2:
         raise ValueError("need at least two subcarriers")
-    n = np.arange(1, nc)
-    aligned = np.exp(2j * np.pi * n * subcarrier_spacing * tau_hat) * h_col[1:]
-    return float(np.mean(np.abs(aligned - h_col[0]) ** 2))
+    n = np.arange(1, nc).reshape((-1,) + (1,) * (h.ndim - 1))
+    aligned = np.exp(2j * np.pi * n * subcarrier_spacing * tau_hat) * h[1:]
+    var = np.mean(np.abs(aligned - h[0]) ** 2, axis=0)
+    return float(var) if h.ndim == 1 else var
 
 
 def kalman_enhance(h_hat: np.ndarray, tau_hat: float,
                    subcarrier_spacing: float, sigma_p2: float,
-                   p_w0: float | None = None) -> np.ndarray:
+                   p_w0: float | np.ndarray | None = None) -> np.ndarray:
     """Filter the LS CSI along subcarriers using the sensed LoS delay.
 
     The state model is a pure per-subcarrier phase rotation
-    A = exp(-j 2 pi df tau); each OFDM symbol column is filtered
-    independently, seeded by its own first-subcarrier observation.
+    A = exp(-j 2 pi df tau) with no process noise; each OFDM symbol column
+    is filtered independently, seeded by its own first-subcarrier
+    observation y_0 with error variance p_0 (``p_w0``, or per column
+    ``initial_obs_variance`` when None).  With |A| = 1 the error variance
+    obeys 1/p_n = 1/p_0 + n/sigma^2, and the filter is a derotated
+    weighted running mean, evaluated in closed form:
+
+        h_n = A^n (sigma^2 y_0 + p_0 sum_{i=1..n} A^-i y_i)
+              / (sigma^2 + n p_0).
+
+    sigma^2 = 0 trusts every observation and returns a copy of ``h_hat``
+    exactly; p_0 = 0 trusts the seed and gives A^n y_0.  A recursive
+    filter whose gain rounds to exactly 1 (p_0 / sigma^2 above about
+    2^53) would lock onto that observation; the closed form keeps
+    averaging.
     """
-    nc, ms = h_hat.shape
-    a = np.exp(-2j * np.pi * subcarrier_spacing * tau_hat)
-    out = np.empty_like(h_hat)
-    out[0, :] = h_hat[0, :]
-    for m in range(ms):
-        if p_w0 is None:
-            p = initial_obs_variance(h_hat[:, m], tau_hat, subcarrier_spacing)
-        else:
-            p = p_w0
-        h_prev = h_hat[0, m]
-        for n in range(1, nc):
-            pred = a * h_prev
-            p_minus = (a * p * np.conj(a)).real
-            denom = p_minus + sigma_p2
-            gain = 1.0 if denom == 0 else p_minus / denom
-            # unit gain means the observation is trusted outright; assign
-            # it directly so the zero-obs-noise filter is an exact identity
-            h_prev = h_hat[n, m] if gain == 1.0 \
-                else pred + (h_hat[n, m] - pred) * gain
-            p = (1.0 - gain) * p_minus
-            out[n, m] = h_prev
+    h_hat = np.asarray(h_hat)
+    if sigma_p2 == 0:
+        return h_hat.copy()
+    nc = h_hat.shape[0]
+    p0 = initial_obs_variance(h_hat, tau_hat, subcarrier_spacing) \
+        if p_w0 is None else p_w0
+    n = np.arange(nc)[:, None]
+    ramp = np.exp(-2j * np.pi * subcarrier_spacing * tau_hat * n)  # A^n
+    # running sum of the derotated observations A^-i y_i, i = 1..n
+    acc = np.cumsum(h_hat[1:] * ramp[1:].conj(), axis=0)
+    out = np.empty(h_hat.shape, dtype=complex)
+    out[0] = h_hat[0]
+    out[1:] = ramp[1:] * (sigma_p2 * h_hat[0] + p0 * acc) \
+        / (sigma_p2 + n[1:] * p0)
     return out
 
 
@@ -106,9 +119,6 @@ def equalize_and_demodulate(received: np.ndarray, csi: np.ndarray,
         return DemodResult(labels=labels, ber=float("nan"),
                            n_erasures=int(erased.sum()))
     nbits = order.bit_length() - 1
-    tx_bits = qam.labels_to_bits(tx_labels, order)
-    rx_bits = qam.labels_to_bits(labels, order)
-    errs = (tx_bits != rx_bits).sum(axis=-1)
-    errs = np.where(erased, nbits, errs)
+    errs = np.where(erased, nbits, qam.bit_errors(tx_labels, labels))
     ber = float(errs.sum() / (received.size * nbits))
     return DemodResult(labels=labels, ber=ber, n_erasures=int(erased.sum()))

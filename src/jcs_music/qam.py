@@ -11,6 +11,15 @@ def _gray(n: np.ndarray) -> np.ndarray:
     return n ^ (n >> 1)
 
 
+def _axis(order: int) -> tuple[int, int, float]:
+    """PAM levels per axis, label bits per axis, and the level scale."""
+    if order not in _ORDERS:
+        raise ValueError(f"unsupported QAM order {order}; choose from {_ORDERS}")
+    side = int(np.sqrt(order))
+    # scale so that E|d|^2 = 1 over a uniform draw
+    return side, side.bit_length() - 1, np.sqrt(2.0 * (side * side - 1) / 3.0)
+
+
 def constellation(order: int) -> np.ndarray:
     """Unit-energy Gray-labelled square QAM points, indexed by symbol label.
 
@@ -18,13 +27,8 @@ def constellation(order: int) -> np.ndarray:
     half is Gray-coded over the PAM levels, so adjacent points differ in
     one bit per axis.
     """
-    if order not in _ORDERS:
-        raise ValueError(f"unsupported QAM order {order}; choose from {_ORDERS}")
-    side = int(np.sqrt(order))
-    bits_per_axis = side.bit_length() - 1
+    side, bits_per_axis, scale = _axis(order)
     levels = 2 * np.arange(side) - (side - 1)  # odd integers, ascending
-    # scale so that E|d|^2 = 1 over a uniform draw
-    scale = np.sqrt(2.0 * (side * side - 1) / 3.0)
     labels = np.arange(order)
     i_bits = labels >> bits_per_axis
     q_bits = labels & (side - 1)
@@ -58,11 +62,29 @@ def preamble(n_subcarriers: int, n_symbols: int, order: int = 4) -> np.ndarray:
 
 
 def demodulate(received: np.ndarray, order: int) -> np.ndarray:
-    """ML hard decision: nearest constellation point, returns labels."""
-    points = constellation(order)
+    """ML hard decision: nearest constellation point, returns labels.
+
+    The grid is square, so the nearest point is the nearest PAM level on
+    each axis; a level's position p carries the Gray code gray(p).
+    """
+    side, bits_per_axis, scale = _axis(order)
     r = np.asarray(received)
-    d2 = np.abs(r[..., None] - points) ** 2
-    return np.argmin(d2, axis=-1)
+
+    def position(x):
+        # levels are the odd integers 1 - side .. side - 1 after scaling
+        p = np.floor((x * scale + side) / 2.0)
+        return np.clip(p, 0, side - 1).astype(np.intp)
+
+    return _gray(position(r.real)) << bits_per_axis | _gray(position(r.imag))
+
+
+# number of set bits in each 6-bit label, the widest supported order
+_POPCOUNT = np.array([bin(v).count("1") for v in range(max(_ORDERS))])
+
+
+def bit_errors(tx_labels: np.ndarray, rx_labels: np.ndarray) -> np.ndarray:
+    """Bit errors per symbol: the set bits of tx XOR rx."""
+    return _POPCOUNT[np.bitwise_xor(tx_labels, rx_labels)]
 
 
 def labels_to_bits(labels: np.ndarray, order: int) -> np.ndarray:
@@ -73,6 +95,5 @@ def labels_to_bits(labels: np.ndarray, order: int) -> np.ndarray:
 
 
 def bit_error_rate(tx_labels: np.ndarray, rx_labels: np.ndarray, order: int) -> float:
-    tx = labels_to_bits(tx_labels, order)
-    rx = labels_to_bits(rx_labels, order)
-    return float(np.mean(tx != rx))
+    errs = bit_errors(tx_labels, rx_labels)
+    return float(errs.sum() / (errs.size * (order.bit_length() - 1)))

@@ -163,7 +163,9 @@ def generate_scenario(seed: int, n_scatterers: int = 2,
                 continue
             break
         else:
-            raise RuntimeError("could not place a scatterer satisfying bounds")
+            raise ValueError(
+                f"n_scatterers={n_scatterers}: could not place scatterer {l} "
+                "satisfying the admissibility bounds in 10000 draws")
         # scatterer moves radially away from BS at `speed` magnitude toward
         # BS (closing); its velocity vector is -speed * direction
         vel = -speed * direction

@@ -98,6 +98,18 @@ def test_sigma_p_doubles_with_variance():
     assert s2 / s1 == pytest.approx(2.0, rel=0.1)
 
 
+@pytest.mark.parametrize("shape", [(256, 64), (16, 40)])
+def test_sigma_p_matches_covariance_eigenvalues(shape):
+    """The singular-value form equals the trailing eigenvalues of the
+    N_c x N_c covariance H H^H / M_s, structural zeros included."""
+    rng = np.random.default_rng(5)
+    h = _los_channel(*shape, 480e3, 1.5e-7)
+    h = h + 0.05 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    w = np.linalg.eigvalsh(h @ h.conj().T / shape[1])
+    want = w[:-1].sum() / (shape[0] - 1)
+    assert csi.estimate_sigma_p(h) == pytest.approx(want, rel=1e-10)
+
+
 def test_sigma_p_needs_two_subcarriers():
     with pytest.raises(ValueError):
         csi.estimate_sigma_p(np.ones((1, 4), dtype=complex))
@@ -128,12 +140,66 @@ def test_initial_obs_variance_grows_with_delay_bias():
     assert biased > good + 1e-6
 
 
+def test_initial_obs_variance_per_column(rng):
+    """A matrix gives one value per column, equal to the 1-D call."""
+    h = rng.normal(size=(32, 5)) + 1j * rng.normal(size=(32, 5))
+    got = csi.initial_obs_variance(h, 2.3e-7, 480e3)
+    assert got.shape == (5,)
+    want = [csi.initial_obs_variance(h[:, m], 2.3e-7, 480e3) for m in range(5)]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    rot = np.exp(2j * np.pi * 480e3 * 2.3e-7)
+    direct = sum(abs(rot ** n * h[n, 0] - h[0, 0]) ** 2 for n in range(1, 32))
+    assert want[0] == pytest.approx(direct / 31, rel=1e-12)
+
+
 # -- Kalman enhancement -------------------------------------------------
+
+def _kalman_recursion(h_hat, tau_hat, df, sigma_p2, p_w0=None):
+    """Reference: the scalar Kalman recursion, one column and one
+    subcarrier at a time."""
+    nc, ms = h_hat.shape
+    a = np.exp(-2j * np.pi * df * tau_hat)
+    out = np.empty_like(h_hat)
+    out[0, :] = h_hat[0, :]
+    for m in range(ms):
+        if p_w0 is None:
+            p = csi.initial_obs_variance(h_hat[:, m], tau_hat, df)
+        else:
+            p = np.broadcast_to(p_w0, (ms,))[m]
+        h_prev = h_hat[0, m]
+        for n in range(1, nc):
+            pred = a * h_prev
+            p_minus = (a * p * np.conj(a)).real
+            denom = p_minus + sigma_p2
+            gain = 1.0 if denom == 0 else p_minus / denom
+            h_prev = h_hat[n, m] if gain == 1.0 \
+                else pred + (h_hat[n, m] - pred) * gain
+            p = (1.0 - gain) * p_minus
+            out[n, m] = h_prev
+    return out
+
+
+@pytest.mark.parametrize("p_w0", [None, 0.0, 0.3, "per-column"])
+def test_kalman_closed_form_matches_recursion(rng, p_w0):
+    tau = 1.8e-7
+    h = _los_channel(256, 6, 480e3, tau * 1.01)
+    h_hat = h + 0.1 * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+    if p_w0 == "per-column":
+        p_w0 = np.array([0.0, 1e-4, 0.01, 0.3, 2.0, 50.0])
+    want = _kalman_recursion(h_hat, tau, 480e3, 0.02, p_w0)
+    got = csi.kalman_enhance(h_hat, tau, 480e3, sigma_p2=0.02, p_w0=p_w0)
+    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert err <= 1e-12
+
 
 def test_kalman_zero_obs_noise_is_identity(rng):
     h = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
     out = csi.kalman_enhance(h, 1e-7, 480e3, sigma_p2=0.0, p_w0=1.0)
     np.testing.assert_array_equal(out, h)
+    out = csi.kalman_enhance(h, 1e-7, 480e3, sigma_p2=0.0)
+    np.testing.assert_array_equal(out, h)
+    # the recursion it replaces is an identity here too
+    np.testing.assert_array_equal(_kalman_recursion(h, 1e-7, 480e3, 0.0), h)
 
 
 def test_kalman_perfect_model_noiseless_recovers_truth():
@@ -198,6 +264,22 @@ def test_erasures_count_as_errors(rng):
     dem = csi.equalize_and_demodulate(sym * h, h, 1.0, 4, labels)
     assert dem.n_erasures == 10
     assert dem.ber >= 10 * 2 / (100 * 2)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_ber_equals_bit_unpacking_route(rng, order):
+    """The popcount count equals unpacking both label arrays into bits."""
+    sym, labels = qam.random_symbols((64, 16), order, rng)
+    h = np.ones((64, 16), dtype=complex)
+    h[3, :4] = 0.0
+    rx = sym + 0.3 * (rng.normal(size=sym.shape) + 1j * rng.normal(size=sym.shape))
+    dem = csi.equalize_and_demodulate(rx, h, 1.0, order, labels)
+    nbits = order.bit_length() - 1
+    errs = (qam.labels_to_bits(labels, order)
+            != qam.labels_to_bits(dem.labels, order)).sum(axis=-1)
+    errs = np.where(h == 0, nbits, errs)
+    assert 0.0 < dem.ber < 1.0
+    assert dem.ber == float(errs.sum() / (rx.size * nbits))
 
 
 def test_demod_without_labels_reports_nan(rng):

@@ -1,14 +1,20 @@
 """Sweep harness, result tables, config plumbing, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jcs_music
 from jcs_music import cli, harness
 from jcs_music.config import ConfigError, DEFAULTS, bind, load_config
 from jcs_music.harness import (ResultRow, ResultTable, resolution_constants,
                                trial_rng)
+from jcs_music.scenario import generate_scenario
 
 
 def _table():
@@ -197,6 +203,27 @@ def test_config_invalid_value(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("override, path", [
+    ({"sweep": {"trials": True}}, "sweep.trials"),
+    ({"waveform": {"carrier_freq": float("inf")}}, "waveform.carrier_freq"),
+    ({"scenario": {"mue_x": "abc"}}, "scenario.mue_x"),
+    ({"sweep": {"sinr_grid_db": ["x"]}}, "sweep.sinr_grid_db"),
+    ({"array": {"rows": 2.7}}, "array.rows"),
+])
+def test_config_rejects_mistyped_value(override, path):
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        load_config(overrides=override)
+
+
+def test_unplaceable_scatterers_name_the_count(tmp_path, capsys):
+    with pytest.raises(ValueError, match="n_scatterers=40"):
+        generate_scenario(0, n_scatterers=40)
+    rc = cli.main(["spectrum", "--scatterers", "40", "--out",
+                   str(tmp_path / "spec")])
+    assert rc == 1
+    assert "n_scatterers" in capsys.readouterr().err
+
+
 def test_config_invalid_json(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text("{not json")
@@ -256,3 +283,28 @@ def test_cli_crb(tmp_path):
     assert rc == 0
     table = ResultTable.from_csv((tmp_path / "c" / "table.csv").read_text())
     assert {r.metric for r in table.rows} >= {"range_mse", "velocity_mse"}
+
+
+_SWEEPS = """
+from jcs_music import bind, harness, load_config
+ctx = bind(load_config())
+print(harness.run_sweep_mse(ctx, sinr_grid=[0.0, 10.0], trials=2,
+                            master_seed=3).to_csv())
+print(harness.run_sweep_ber(ctx, csinr_grid=[20.0], trials=2,
+                            master_seed=3).to_csv())
+"""
+
+
+def test_sweeps_identical_under_one_and_two_blas_threads():
+    """The BLAS thread count is set in each child's environment only."""
+    src = str(Path(jcs_music.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", _SWEEPS], env=env,
+                             capture_output=True, text=True, check=True)
+        out.append(run.stdout)
+    assert "range_mse" in out[0] and "case_c" in out[0]
+    assert out[0] == out[1]

@@ -83,6 +83,19 @@ def test_bit_error_rate_counts():
     tx = np.array([0, 0, 0, 0])
     rx = np.array([0, 1, 3, 0])  # 0+1+2+0 errors over 8 bits
     assert qam.bit_error_rate(tx, rx, 4) == pytest.approx(3.0 / 8.0)
+    np.testing.assert_array_equal(qam.bit_errors(tx, rx), [0, 1, 2, 0])
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_bit_errors_equal_bit_unpacking(order):
+    rng = np.random.default_rng(order)
+    tx = rng.integers(0, order, size=(50, 7))
+    rx = rng.integers(0, order, size=(50, 7))
+    want = (qam.labels_to_bits(tx, order)
+            != qam.labels_to_bits(rx, order)).sum(axis=-1)
+    np.testing.assert_array_equal(qam.bit_errors(tx, rx), want)
+    assert qam.bit_error_rate(tx, rx, order) == float(
+        np.mean(qam.labels_to_bits(tx, order) != qam.labels_to_bits(rx, order)))
 
 
 def test_invalid_order():
@@ -99,3 +112,24 @@ def test_demodulate_is_nearest_point(z, order):
     got = int(qam.demodulate(np.array([z]), order)[0])
     best = float(np.min(np.abs(z - pts) ** 2))
     assert abs(np.abs(z - pts[got]) ** 2 - best) < 1e-12
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_demodulate_matches_brute_force(order):
+    """Per-axis slicing picks a nearest point for points far outside the
+    constellation and on exact decision boundaries."""
+    pts = qam.constellation(order)
+    side = int(np.sqrt(order))
+    scale = np.sqrt(2.0 * (side * side - 1) / 3.0)
+    rng = np.random.default_rng(order)
+    far = rng.uniform(-10.0, 10.0, size=(2, 2000))
+    # midpoints between adjacent levels, the outer edges, and the levels
+    marks = np.arange(-side, side + 1) / scale
+    mi, mq = np.meshgrid(marks, marks)
+    z = np.concatenate([far[0] + 1j * far[1], (mi + 1j * mq).ravel(),
+                        10.0 * np.exp(2j * np.pi * rng.uniform(size=200))])
+    got = qam.demodulate(z, order)
+    d2 = np.abs(z[:, None] - pts) ** 2
+    best = np.min(d2, axis=1)
+    np.testing.assert_array_less(
+        np.abs(d2[np.arange(len(z)), got] - best), 1e-12)
