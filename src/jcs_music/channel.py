@@ -4,6 +4,7 @@ of echo and communication snapshots at calibrated SINR."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -172,15 +173,71 @@ def calibrate_power_comm(scenario: Scenario, wave: WaveformConfig,
 
 @dataclass(frozen=True)
 class EchoRealization:
-    """Echo snapshots with their exact signal/noise split."""
+    """One echo frame, held as per-path factors plus one noise draw.
 
-    snapshots: np.ndarray          # (PQ, N_c, M_s)
-    signal: np.ndarray             # (PQ, N_c, M_s)
-    noise: np.ndarray              # (PQ, N_c, M_s)
+    Y = sum_l steering[:, l] (x) factors[l] + N.  Only 2-D AoA estimation
+    reads the whole (PQ, N_c, M_s) tensor: `snapshots` builds it on the
+    first read and keeps it.  `signal` and `noise` are built on every read.
+    Fixed-beam stages call `beamform`, which contracts the factors and the
+    noise planes instead while the tensor does not exist.
+    """
+
+    steering: np.ndarray           # (PQ, L) echo steering matrix
+    factors: np.ndarray            # (L, N_c, M_s) sqrt(P) b_l chi_l d * ramp_l
+    noise_draw: np.ndarray | None  # (2, PQ, N_c, M_s) real, imag; None if noiseless
     symbols: np.ndarray            # (N_c, M_s)
     labels: np.ndarray
     reflections: np.ndarray        # per-path beta draw
-    steering: np.ndarray           # (PQ, L) echo steering matrix
+
+    @property
+    def signal(self) -> np.ndarray:
+        """Noiseless tensor, summed in path order through one reused
+        buffer."""
+        a = self.steering
+        y = np.multiply(a[:, 0, None, None], self.factors[0])
+        term = np.empty_like(y) if len(self.factors) > 1 else None
+        for l in range(1, len(self.factors)):
+            y += np.multiply(a[:, l, None, None], self.factors[l], out=term)
+        return y
+
+    @property
+    def noise(self) -> np.ndarray:
+        """Complex noise tensor of the draw; zeros when noiseless."""
+        nse = np.zeros((len(self.steering),) + self.symbols.shape,
+                       dtype=complex)
+        if self.noise_draw is not None:
+            nse.real, nse.imag = self.noise_draw
+        return nse
+
+    @cached_property
+    def snapshots(self) -> np.ndarray:
+        """(PQ, N_c, M_s) echo tensor, componentwise signal + noise."""
+        y = self.signal
+        if self.noise_draw is not None:
+            y.real += self.noise_draw[0]
+            y.imag += self.noise_draw[1]
+        return y
+
+    def beamform(self, w: np.ndarray) -> np.ndarray:
+        """Beam output w^H Y, shape (N_c, M_s).
+
+        Once `snapshots` exists it is contracted directly.  Before that
+        the result is (w^H A) X + w^H N, with w^H N from two real
+        (2 x PQ) products on the noise planes, so no PQ x N_c x M_s
+        complex array is formed.
+        """
+        if "snapshots" in self.__dict__:
+            return np.tensordot(w.conj(), self.snapshots, axes=([0], [0]))
+        y = (w.conj() @ self.steering) @ self.factors.reshape(
+            len(self.factors), -1)
+        if self.noise_draw is not None:
+            planes = self.noise_draw.reshape(2, len(w), -1)
+            w2 = np.stack([w.real, w.imag])
+            nr, ni = w2 @ planes[0], w2 @ planes[1]
+            # (wr - j wi)(nr + j ni) = wr nr + wi ni + j (wr ni - wi nr)
+            y.real += nr[0] + ni[1]
+            y.imag += ni[0] - nr[1]
+        return y.reshape(self.symbols.shape)
 
 
 def path_phases(scenario: Scenario, wave: WaveformConfig, l: int,
@@ -206,7 +263,8 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
                     fading: str = "phase",
                     c: float = SPEED_OF_LIGHT,
                     noiseless: bool = False) -> EchoRealization:
-    """Received echo tensor Y_S at the BS across all subcarriers/symbols."""
+    """Received echo Y_S at the BS across all subcarriers/symbols, held
+    as per-path factors plus one noise draw (see EchoRealization)."""
     nc, ms = wave.n_subcarriers, wave.n_symbols
     if symbols is None:
         symbols, labels = qam.random_symbols((nc, ms), wave.qam_order, rng)
@@ -217,28 +275,23 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
 
     steering = np.column_stack([spatial_steering(tx_array, p.aoa)
                                 for p in scenario.paths])
-    shape = (tx_array.size, nc, ms)
-    signal = np.zeros(shape, dtype=complex)
-    term = np.empty(shape, dtype=complex)  # one path's contribution, reused
+    factors = np.empty((scenario.n_paths, nc, ms), dtype=complex)
     amp = np.sqrt(wave.tx_power)
     for l in range(scenario.n_paths):
         b = echo_amplitude(scenario, wave, l, c) * reflections[l]
         gain = b * beams.tx_gains[l]
-        contrib = amp * gain * symbols * path_phases(scenario, wave, l, c)
-        signal += np.multiply(steering[:, l][:, None, None], contrib, out=term)
-    del term  # free before the noise buffers: this sets the peak memory
+        np.multiply(amp * gain * symbols, path_phases(scenario, wave, l, c),
+                    out=factors[l])
 
-    nse = np.zeros(shape, dtype=complex)
+    z = None
     if not noiseless:
         # the stream and the values of std * (normal + 1j * normal): real
         # parts first, then imaginary parts
-        z = rng.standard_normal((2,) + shape)
+        z = rng.standard_normal((2, tx_array.size, nc, ms))
         z *= np.sqrt(noise.total_sense_var / 2.0)
-        nse.real, nse.imag = z
-        del z
-    return EchoRealization(snapshots=signal + nse, signal=signal, noise=nse,
+    return EchoRealization(steering=steering, factors=factors, noise_draw=z,
                            symbols=symbols, labels=labels,
-                           reflections=reflections, steering=steering)
+                           reflections=reflections)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import channel, csi, fft_baseline, music, qam, theory
 from .config import RunContext
-from .music import beamform_and_erase, music_aoa, music_doppler, music_range
+from .music import music_aoa, music_doppler, music_range
 from .scenario import Scenario, generate_scenario
 from .steering import Angle2D
 
@@ -150,10 +150,11 @@ def _beam_range(ctx: RunContext, wave: channel.WaveformConfig,
     associates.  Returns (h_bar, FFT result, round-trip range, range
     source count)."""
     w = channel.sense_rx_beamformer(ctx.array, angle)
-    h_bar = beamform_and_erase(echo.snapshots, w, echo.symbols)
+    h_bar = echo.beamform(w) / echo.symbols
     per = fft_baseline.fft_range_doppler(h_bar, wave, c=ctx.c)
     r_ests, dec_r = music_range(h_bar, wave, c=ctx.c)
     r_rt = float(_nearest_estimate(r_ests, per.range_rt,
+                                   period=ctx.c / wave.subcarrier_spacing,
                                    tol=0.6 * per.range_bin_width).value)
     return h_bar, per, r_rt, dec_r.source_count
 
@@ -346,7 +347,7 @@ def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
     echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
                                    rng, fading=cfg["fading"], c=ctx.c)
     w0 = channel.sense_rx_beamformer(ctx.array, scenario.mue_path.aoa)
-    h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
+    h_bar = echo.beamform(w0) / echo.symbols
     lam = wave.wavelength(ctx.c)
 
     # half-aperture smoothed covariance keeps the subspace usable at the

@@ -4,7 +4,7 @@ Newton refinement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -174,15 +174,16 @@ def music_aoa(snapshots: np.ndarray, array: ArrayConfig,
 def _newton_refine_aoa(p0: np.ndarray, noise_basis: np.ndarray,
                        array: ArrayConfig, scale: float) -> SpectrumEstimate:
     un = noise_basis
+    unh = un.conj().T
 
     def evaluate(p):
         ang = Angle2D(float(p[0]), float(p[1]))
         first, second = spatial_steering_derivs(array, ang)
         a = spatial_steering(array, ang)
-        wa = un @ (un.conj().T @ a)
+        wa = un @ (unh @ a)
         f = float(np.real(np.vdot(a, wa)))
         grad = 2.0 * np.real(first.conj().T @ wa)
-        w1 = un @ (un.conj().T @ first)
+        w1 = un @ (unh @ first)
         hess = 2.0 * np.real(first.conj().T @ w1)
         for r_ in range(2):
             for c_ in range(2):
@@ -236,18 +237,31 @@ def _line_spectrum_music(snapshots: np.ndarray, n_grid: int, sign: int,
     spec = _ramp_grid_spectrum(dec.signal_basis, n_grid, sign)
     idx = _peaks_1d(spec, dec.source_count)
     un = dec.noise_basis
+    unh = un.conj().T
 
     def derivs(x):
         a, a1, a2 = ramp_derivs(float(x))
-        wa = un @ (un.conj().T @ a)
+        wa = un @ (unh @ a)
         f = float(np.real(np.vdot(a, wa)))
         g = 2.0 * float(np.real(np.vdot(a1, wa)))
-        wa1 = un @ (un.conj().T @ a1)
+        wa1 = un @ (unh @ a1)
         h = 2.0 * float(np.real(np.vdot(a2, wa)) + np.real(np.vdot(a1, wa1)))
         return f, g, h
 
-    estimates = [newton_refine_1d(float(i * step), derivs, step) for i in idx]
+    period = n_grid * step
+    estimates = [_wrap_estimate(newton_refine_1d(float(i * step), derivs, step),
+                                period) for i in idx]
     return estimates, dec
+
+
+def _wrap_estimate(est: SpectrumEstimate, period: float) -> SpectrumEstimate:
+    """Map a refined ramp parameter into [0, period): Newton may step
+    across the wrap of the periodic grid.  In-domain values are kept as
+    they are."""
+    if 0.0 <= est.value < period:
+        return est
+    x = est.value % period
+    return replace(est, value=x if x < period else 0.0)
 
 
 def music_range(h_bar: np.ndarray, wave: WaveformConfig,

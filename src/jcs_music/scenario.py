@@ -29,6 +29,12 @@ MIN_ELEVATION_DEG = 5.0
 MAX_ELEVATION_DEG = 85.0
 MIN_ANGLE_SEPARATION_DEG = 20.0
 MIN_VELOCITY_SEPARATION = 5.0
+# scatterer closing speeds are drawn from [SCATTER_SPEED_MIN, SCATTER_SPEED_MAX)
+SCATTER_SPEED_MIN = 20.0
+SCATTER_SPEED_MAX = 60.0
+# most speeds the half-open interval holds at the separation above
+MAX_SCATTERERS = int(np.ceil((SCATTER_SPEED_MAX - SCATTER_SPEED_MIN)
+                             / MIN_VELOCITY_SEPARATION))
 
 
 def rotation_matrix(spin_deg: float = ARRAY_SPIN_DEG,
@@ -121,6 +127,12 @@ def generate_scenario(seed: int, n_scatterers: int = 2,
     re-drawn until they satisfy the admissibility bounds (front
     half-space, minimum distance, angular and Doppler separation).
     """
+    if not 0 <= n_scatterers <= MAX_SCATTERERS:
+        raise ValueError(
+            f"n_scatterers={n_scatterers}: must be in [0, {MAX_SCATTERERS}]; "
+            f"scatterer speeds are drawn from [{SCATTER_SPEED_MIN:g}, "
+            f"{SCATTER_SPEED_MAX:g}) m/s at least "
+            f"{MIN_VELOCITY_SEPARATION:g} m/s apart")
     rng = np.random.default_rng(seed)
     rot = rotation_matrix()
 
@@ -158,7 +170,7 @@ def generate_scenario(seed: int, n_scatterers: int = 2,
             if any(_angular_sep(direction, d) < MIN_ANGLE_SEPARATION_DEG
                    for d in directions):
                 continue
-            speed = float(rng.uniform(20.0, 60.0))
+            speed = float(rng.uniform(SCATTER_SPEED_MIN, SCATTER_SPEED_MAX))
             if any(abs(speed - s) < MIN_VELOCITY_SEPARATION for s in speeds):
                 continue
             break

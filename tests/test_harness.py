@@ -8,13 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jcs_music
-from jcs_music import cli, harness
+from jcs_music import channel, cli, harness
 from jcs_music.config import ConfigError, DEFAULTS, bind, load_config
 from jcs_music.harness import (ResultRow, ResultTable, resolution_constants,
                                trial_rng)
+from jcs_music.music import music_range
 from jcs_music.scenario import generate_scenario
+from jcs_music.steering import Angle2D
 
 
 def _table():
@@ -187,6 +191,112 @@ def test_crb_table_structure(ctx):
         == pytest.approx(t.value(0.0, "range_mse", "crb") / 10.0, rel=1e-9)
 
 
+# -- estimator domains ---------------------------------------------------
+
+def _small_ctx(**sections):
+    """Context of the reduced numerology, overlaid with `sections`."""
+    cfg = {"array": {"rows": 4, "cols": 4},
+           "waveform": {"n_subcarriers": 64, "n_symbols": 32}}
+    for name, values in sections.items():
+        cfg[name] = {**cfg.get(name, {}), **values}
+    return bind(load_config(overrides=cfg))
+
+
+def _beam_chain_outputs(fn, *args, **kwargs):
+    """Call fn, recording the round-trip range of every per-beam range
+    step and the Doppler of every Doppler step it runs."""
+    ranges, dopplers = [], []
+    beam_range, beam_doppler = harness._beam_range, harness._beam_doppler
+
+    def rec_range(*a, **k):
+        out = beam_range(*a, **k)
+        ranges.append(out[2])
+        return out
+
+    def rec_doppler(*a, **k):
+        out = beam_doppler(*a, **k)
+        dopplers.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_beam_range", rec_range)
+        mp.setattr(harness, "_beam_doppler", rec_doppler)
+        result = fn(*args, **kwargs)
+    return result, ranges, dopplers
+
+
+def _assert_in_domains(ctx, ranges, dopplers):
+    span = 1.0 / ctx.wave.symbol_duration
+    r_max = ctx.c / ctx.wave.subcarrier_spacing
+    assert ranges and all(0.0 <= r < r_max for r in ranges), (ranges, r_max)
+    assert all(-span / 2 < f <= span / 2 for f in dopplers), (dopplers, span)
+
+
+def _assert_trial_in_domains(ctx, sinr, scen_seed, noise_seed, true_beam):
+    res, ranges, dopplers = _beam_chain_outputs(
+        harness.sensing_trial, ctx, sinr, scen_seed,
+        np.random.default_rng(noise_seed), use_true_beam=true_beam)
+    assert all(np.isfinite(v) for smap in res.values() for v in smap.values())
+    assert len(dopplers) == 1
+    _assert_in_domains(ctx, ranges, dopplers)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(49.95, 50.05), st.floats(-10.0, 20.0),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_zero_doppler_user_stays_in_domain(mue_x, sinr, seed, true_beam):
+    """At mue_x = 50 the user's closing speed is 0: the Doppler sits on
+    the wrap of [0, 1/T)."""
+    ctx = _small_ctx(scenario={"mue_x": mue_x})
+    assert abs(harness._scene(ctx, seed).mue_path.v1) < 0.1
+    _assert_trial_in_domains(ctx, sinr, seed, seed + 1, true_beam)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(50.0, 155.0), st.floats(-0.03, 0.03), st.floats(0.0, 20.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_target_near_range_wrap_stays_in_domain(mue_x, offset, sinr, seed):
+    """The subcarrier spacing puts the unambiguous round trip c / df
+    within 3% (about two range bins) of the user's round trip, on either
+    side."""
+    d1 = generate_scenario(0, n_scatterers=0, mue_x=mue_x).mue_path.d1
+    c = _small_ctx().c
+    ctx = _small_ctx(scenario={"mue_x": mue_x},
+                     waveform={"subcarrier_spacing":
+                               c / (2.0 * d1 * (1.0 + offset))})
+    _assert_trial_in_domains(ctx, sinr, seed, seed + 1, True)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_noise_only_beam_falls_back_and_stays_in_domain(seed):
+    """A per-beam matrix of noise alone whose two strongest singular
+    values are equal: the first eigenvalue gap is zero, so the source
+    count falls back to 1."""
+    ctx = _small_ctx()
+    wave = ctx.wave
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, wave.n_subcarriers, wave.n_symbols))
+    u, s, vh = np.linalg.svd(g[0] + 1j * g[1], full_matrices=False)
+    s[1] = s[0]
+    h = (u * s) @ vh
+    _, dec = music_range(h, wave, c=ctx.c)
+    assert dec.fallback and dec.source_count == 1
+
+    # an echo whose one path is that matrix, seen through its own beam
+    angle = Angle2D(0.3, 0.7)
+    w = channel.sense_rx_beamformer(ctx.array, angle)
+    echo = channel.EchoRealization(
+        steering=w[:, None] / np.vdot(w, w), factors=h[None],
+        noise_draw=None, symbols=np.ones(h.shape, dtype=complex),
+        labels=np.zeros(h.shape, dtype=int),
+        reflections=np.ones(1, dtype=complex))
+    h_bar, per, r_rt, n_src = harness._beam_range(ctx, wave, echo, angle)
+    assert n_src == 1
+    f = harness._beam_doppler(h_bar, wave, per, n_src)
+    _assert_in_domains(ctx, [r_rt], [f])
+
+
 # -- config --------------------------------------------------------------
 
 def test_config_unknown_key_path(tmp_path):
@@ -218,10 +328,20 @@ def test_config_rejects_mistyped_value(override, path):
 def test_unplaceable_scatterers_name_the_count(tmp_path, capsys):
     with pytest.raises(ValueError, match="n_scatterers=40"):
         generate_scenario(0, n_scatterers=40)
+    # negative counts and counts the speed interval cannot hold at the
+    # velocity separation are rejected before any draw
+    for n in (-1, 9):
+        with pytest.raises(ValueError,
+                           match=rf"n_scatterers={n}: must be in \[0, 8\]"):
+            generate_scenario(0, n_scatterers=n)
     rc = cli.main(["spectrum", "--scatterers", "40", "--out",
                    str(tmp_path / "spec")])
     assert rc == 1
     assert "n_scatterers" in capsys.readouterr().err
+    rc = cli.main(["spectrum", "--scatterers", "-3", "--out",
+                   str(tmp_path / "spec")])
+    assert rc == 1
+    assert "n_scatterers=-3" in capsys.readouterr().err
 
 
 def test_config_invalid_json(tmp_path):

@@ -4,13 +4,13 @@ statistical oracles."""
 import numpy as np
 import pytest
 
-from jcs_music import channel
+from jcs_music import channel, qam
 from jcs_music.channel import NoiseConfig, WaveformConfig
 from jcs_music.scenario import (BS_POSITION, MUE_VELOCITY, Scenario,
                                 _radial_speed, angles_to_direction,
                                 direction_to_angles, generate_scenario,
                                 rotation_matrix)
-from jcs_music.steering import Angle2D, ArrayConfig
+from jcs_music.steering import Angle2D, ArrayConfig, spatial_steering
 
 C = 299792458.0
 
@@ -235,6 +235,105 @@ def test_total_noise_variance(wave, array, rng):
     got_db = 10 * np.log10(acc / n_frames)
     want_db = 10 * np.log10(nz.total_sense_var)
     assert abs(got_db - want_db) < 0.2
+
+
+def _per_path_echo(scen, wave, array, beams, noise, rng, noiseless):
+    """The dense per-path synthesis the factored echo replaced, kept as
+    its reference: (snapshots, signal, noise), each (PQ, N_c, M_s)."""
+    nc, ms = wave.n_subcarriers, wave.n_symbols
+    symbols, _ = qam.random_symbols((nc, ms), wave.qam_order, rng)
+    reflections = channel.draw_reflections(scen, rng)
+    steering = np.column_stack([spatial_steering(array, p.aoa)
+                                for p in scen.paths])
+    shape = (array.size, nc, ms)
+    signal = np.zeros(shape, dtype=complex)
+    amp = np.sqrt(wave.tx_power)
+    for l in range(scen.n_paths):
+        gain = channel.echo_amplitude(scen, wave, l) * reflections[l] \
+            * beams.tx_gains[l]
+        contrib = amp * gain * symbols * channel.path_phases(scen, wave, l)
+        signal += steering[:, l][:, None, None] * contrib
+    nse = np.zeros(shape, dtype=complex)
+    if not noiseless:
+        z = rng.standard_normal((2,) + shape)
+        z *= np.sqrt(noise.total_sense_var / 2.0)
+        nse.real, nse.imag = z
+    return signal + nse, signal, nse
+
+
+def _numerology(name, small_wave, small_array):
+    if name == "small":
+        return small_wave, small_array
+    wave = WaveformConfig()
+    lam = wave.wavelength()
+    return wave, ArrayConfig(rows=8, cols=8, spacing=lam / 2, wavelength=lam)
+
+
+def _echo_pair(numerology, n_scatterers, noiseless, small_wave, small_array,
+               noise, seed=11):
+    """The factored echo and the per-path reference from equal generators;
+    also the generators after the calls."""
+    wave, array = _numerology(numerology, small_wave, small_array)
+    wave = wave.with_power(2.5e5)
+    scen = generate_scenario(seed, n_scatterers=n_scatterers)
+    beams = channel.build_beamformers(scen, array)
+    rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
+    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng_new,
+                                   noiseless=noiseless)
+    ref = _per_path_echo(scen, wave, array, beams, noise, rng_ref, noiseless)
+    return echo, ref, rng_new, rng_ref, scen, array
+
+
+@pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("n_scatterers", [0, 2], ids=["L1", "L3"])
+@pytest.mark.parametrize("numerology", ["default", "small"])
+def test_factored_echo_equals_per_path_synthesis(numerology, n_scatterers,
+                                                 noiseless, small_wave,
+                                                 small_array, noise):
+    echo, ref, rng_new, rng_ref, scen, _ = _echo_pair(
+        numerology, n_scatterers, noiseless, small_wave, small_array, noise)
+    assert scen.n_paths == n_scatterers + 1
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    for name, want in zip(("snapshots", "signal", "noise"), ref):
+        np.testing.assert_array_equal(getattr(echo, name), want)
+    # read again from the kept tensor
+    np.testing.assert_array_equal(echo.snapshots, ref[0])
+
+
+@pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("numerology", ["default", "small"])
+def test_beamform_matches_tensor_contraction(numerology, noiseless,
+                                             small_wave, small_array, noise):
+    echo, _, _, _, scen, array = _echo_pair(
+        numerology, 2, noiseless, small_wave, small_array, noise)
+    ws = [channel.sense_rx_beamformer(array, p.aoa) for p in scen.paths]
+    before = [echo.beamform(w) for w in ws]
+    y = echo.snapshots
+    for w, got in zip(ws, before):
+        want = np.tensordot(w.conj(), y, axes=([0], [0]))
+        assert got.shape == want.shape == y.shape[1:]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # once the tensor exists it is contracted directly, bit for bit
+        np.testing.assert_array_equal(echo.beamform(w), want)
+
+
+def test_echo_holds_no_array_tensor_until_read(small_wave, small_array,
+                                               noise):
+    for numerology in ("default", "small"):
+        echo, _, _, _, scen, array = _echo_pair(
+            numerology, 2, False, small_wave, small_array, noise)
+        size = echo.steering.shape[0] * echo.symbols.size
+
+        def tensors():
+            return [v for v in vars(echo).values()
+                    if isinstance(v, np.ndarray)
+                    and np.iscomplexobj(v) and v.size >= size]
+
+        assert tensors() == []
+        echo.beamform(channel.sense_rx_beamformer(array, scen.mue_path.aoa))
+        assert tensors() == []
+        y = echo.snapshots
+        assert len(tensors()) == 1 and tensors()[0] is y
 
 
 def test_phase_fading_magnitude_rayleigh_spread(rng):
