@@ -75,7 +75,6 @@ class NoiseConfig:
 @dataclass(frozen=True)
 class Beamformers:
     tx: np.ndarray                 # (PQ,), unit norm
-    rx_comm: np.ndarray            # (1,), unit norm
     tx_gains: np.ndarray           # chi_l = a(p_l)^T tx per path
 
 
@@ -89,10 +88,9 @@ def build_beamformers(scenario: Scenario,
     """
     a0 = spatial_steering(tx_array, scenario.mue_path.aoa)
     w_tx = np.conj(a0) / np.linalg.norm(a0)
-    w_rx = np.ones(1, dtype=complex)
     gains = np.array([spatial_steering(tx_array, p.aoa) @ w_tx
                       for p in scenario.paths])
-    return Beamformers(tx=w_tx, rx_comm=w_rx, tx_gains=gains)
+    return Beamformers(tx=w_tx, tx_gains=gains)
 
 
 def sense_rx_beamformer(tx_array: ArrayConfig, angle: Angle2D) -> np.ndarray:
@@ -163,8 +161,7 @@ def calibrate_power_comm(scenario: Scenario, wave: WaveformConfig,
                          target_sinr_db: float,
                          c: float = SPEED_OF_LIGHT) -> float:
     """Transmit power that puts the LoS link at the target C-SINR."""
-    rx_gain = abs(np.vdot(beams.rx_comm, np.ones(len(beams.rx_comm))))
-    gain = comm_los_amplitude(scenario, wave, c) * abs(beams.tx_gains[0]) * rx_gain
+    gain = comm_los_amplitude(scenario, wave, c) * abs(beams.tx_gains[0])
     if gain <= 0:
         raise ValueError("zero LoS gain; cannot calibrate power")
     sinr = 10.0 ** (target_sinr_db / 10.0)
@@ -315,12 +312,11 @@ def comm_csi(scenario: Scenario, wave: WaveformConfig, beams: Beamformers,
     lam = wave.wavelength(c)
     n = np.arange(nc)
     m = np.arange(ms)
-    rx_gain = np.vdot(beams.rx_comm, np.ones(len(beams.rx_comm)))
 
     p0 = scenario.mue_path
     tau0 = p0.d1 / c
     fd0 = p0.v1 / lam
-    h = (comm_los_amplitude(scenario, wave, c) * beams.tx_gains[0] * rx_gain
+    h = (comm_los_amplitude(scenario, wave, c) * beams.tx_gains[0]
          * np.outer(np.exp(-2j * np.pi * n * wave.subcarrier_spacing * tau0),
                     np.exp(2j * np.pi * m * wave.symbol_duration * fd0)))
 
@@ -334,7 +330,7 @@ def comm_csi(scenario: Scenario, wave: WaveformConfig, beams: Beamformers,
             tau = (p.d1 + p.d2) / c
             fd = (p.v1 + p.v2) / lam
             b = comm_nlos_amplitude(scenario, wave, l, c) * reflections[l]
-            h += (b * beams.tx_gains[l] * rx_gain
+            h += (b * beams.tx_gains[l]
                   * np.outer(np.exp(-2j * np.pi * n * wave.subcarrier_spacing * tau),
                              np.exp(2j * np.pi * m * wave.symbol_duration * fd)))
     return h

@@ -13,6 +13,13 @@ from . import harness
 from .config import ConfigError, bind, load_config
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file overlaying the defaults")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -47,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="single-shot range/velocity spectra "
                                         "with PSLR")
     _add_common(p)
-    p.add_argument("--pad", type=int, default=8, help="FFT zero-pad factor")
+    p.add_argument("--pad", type=_positive_int, default=8,
+                   help="FFT zero-pad factor")
     p.add_argument("--scatterers", type=int, default=None,
                    help="override the configured scatterer count")
 
@@ -57,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-theory", help="simulated MSEs next to "
                                                "perturbation predictions")
     _add_common(p)
-    p.add_argument("--draws", type=int, default=1000,
+    p.add_argument("--draws", type=_positive_int, default=1000,
                    help="noise draws for the analytic prediction")
 
     p = sub.add_parser("resolution", help="print baseline range/velocity "
@@ -69,8 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # sweep flags are checked as the config keys they stand for
+    sweep = {}
+    if getattr(args, "trials", None) is not None:
+        sweep["trials"] = args.trials
+    if getattr(args, "sinr", None) is not None:
+        sweep["sinr_grid_db"] = args.sinr
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, overrides={"sweep": sweep})
         ctx = bind(cfg, legacy_c=args.legacy_c or None)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -100,7 +114,7 @@ def main(argv=None) -> int:
             kwargs = {"master_seed": args.seed, "n_draws": args.draws}
             if args.sinr:
                 kwargs["sinr_grid"] = args.sinr
-            if args.trials:
+            if args.trials is not None:
                 kwargs["trials"] = args.trials
             table = harness.validate_theory(ctx, **kwargs)
         elif args.command == "spectrum":
@@ -122,11 +136,13 @@ def main(argv=None) -> int:
             return 0
         else:  # pragma: no cover
             raise AssertionError(args.command)
+        paths = harness.emit_results(table, args.out)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    paths = harness.emit_results(table, args.out)
     print("\n".join(str(p) for p in paths))
     return 0
 

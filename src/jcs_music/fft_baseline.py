@@ -25,7 +25,6 @@ class PeriodogramResult:
     range_rt: float                # on-grid round-trip range, m
     doppler: float                 # on-grid Doppler, Hz
     distance: float                # range_rt / 2
-    velocity: float                # lambda * doppler / 2
     range_bin_width: float         # round-trip metres per unpadded bin
     doppler_bin_width: float       # Hz per unpadded bin
 
@@ -64,12 +63,10 @@ def fft_range_doppler(h_bar: np.ndarray, wave: WaveformConfig,
     df = doppler_bin_width(wave)
     r_rt = kr * dr
     fd = kd * df
-    lam = wave.wavelength(c)
     return PeriodogramResult(magnitude=mag,
                              peak_range_bin=int(kr), peak_doppler_bin=int(kd),
                              range_rt=float(r_rt), doppler=float(fd),
                              distance=float(r_rt / 2.0),
-                             velocity=float(lam * fd / 2.0),
                              range_bin_width=dr, doppler_bin_width=df)
 
 

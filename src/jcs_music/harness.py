@@ -181,9 +181,18 @@ def sensing_trial(ctx: RunContext, sinr_db: float, scen_seed: int,
                   use_true_beam: bool = False) -> dict:
     """One end-to-end sensing trial; per-metric squared errors for the
     direct path, for both the subspace and the on-grid estimators."""
-    cfg = ctx.config["scenario"]
     scenario = _scene(ctx, scen_seed)
     beams = channel.build_beamformers(scenario, ctx.array)
+    return _sense_frame(ctx, scenario, beams, sinr_db, rng, use_true_beam)
+
+
+def _sense_frame(ctx: RunContext, scenario: Scenario,
+                 beams: channel.Beamformers, sinr_db: float,
+                 rng: np.random.Generator, use_true_beam: bool) -> dict:
+    """Per-frame chain of a sensing trial on a set-up scene: calibrate
+    the power, synthesize the echo, aim the beam (MUSIC AoA or the true
+    AoA), then the range and Doppler steps."""
+    cfg = ctx.config["scenario"]
     p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
                                          sinr_db, ctx.c)
     wave = ctx.wave.with_power(p_tx)
@@ -338,8 +347,8 @@ def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
     """Normalized range and velocity spectra of one realization, with PSLR."""
     scen_seed, rng = trial_rng(master_seed, 0, 0)
     cfg = ctx.config["scenario"]
-    scenario = _scene(ctx, scen_seed) if n_scatterers is None \
-        else _scene(ctx, scen_seed, n_scatterers=n_scatterers)
+    overrides = {} if n_scatterers is None else {"n_scatterers": n_scatterers}
+    scenario = _scene(ctx, scen_seed, **overrides)
     beams = channel.build_beamformers(scenario, ctx.array)
     p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
                                          sinr_db, ctx.c)
@@ -395,29 +404,20 @@ def validate_theory(ctx: RunContext, sinr_grid=(0.0, 5.0, 10.0),
     formulas.
     """
     scen_seed, _ = trial_rng(master_seed, 0, 0)
-    cfg = ctx.config["scenario"]
     scenario = _scene(ctx, scen_seed)
     beams = channel.build_beamformers(scenario, ctx.array)
     truth = scenario.mue_path
-    lam = ctx.wave.wavelength(ctx.c)
     rows: list[ResultRow] = []
     for pi, sinr in enumerate(sinr_grid):
         p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams,
                                              ctx.noise, sinr, ctx.c)
         wave = ctx.wave.with_power(p_tx)
-        acc: dict = {}
+        acc: dict = {"range_mse": {"music": []}, "velocity_mse": {"music": []}}
         for t in range(trials):
             _, rng = trial_rng(master_seed, pi + 1, t)
-            echo = channel.synthesize_echo(scenario, wave, ctx.array, beams,
-                                           ctx.noise, rng,
-                                           fading=cfg["fading"], c=ctx.c)
-            h_bar, per, r_rt, n_src = _beam_range(ctx, wave, echo, truth.aoa)
-            d_hat = r_rt / 2.0
-            v_hat = lam * _beam_doppler(h_bar, wave, per, n_src) / 2.0
-            acc.setdefault("range_mse", {}).setdefault("music", []).append(
-                (d_hat - truth.d1) ** 2)
-            acc.setdefault("velocity_mse", {}).setdefault("music", []).append(
-                (v_hat - truth.v1) ** 2)
+            res = _sense_frame(ctx, scenario, beams, sinr, rng, True)
+            for metric, series in acc.items():
+                series["music"].append(res[metric]["music"])
         rows.extend(_aggregate(acc, sinr, trials, master_seed))
 
         rep = theory.perturbation_report(scenario, wave, ctx.array, beams,

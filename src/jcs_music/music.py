@@ -92,21 +92,16 @@ def _peaks_1d(spec: np.ndarray, n_peaks: int) -> np.ndarray:
     return idx[order][:n_peaks]
 
 
-def _peaks_2d(spec: np.ndarray, n_peaks: int, wrap_axis0: bool = True):
+def _peaks_2d(spec: np.ndarray, n_peaks: int):
     """(i, j) indices of strict 8-neighbor local maxima, strongest first.
 
-    Axis 0 (azimuth) is treated circularly when wrap_axis0 is set; axis 1
-    edges compare against available neighbors only.
+    Axis 0 (azimuth) is treated circularly; axis 1 edges compare against
+    available neighbors only.
     """
     s = spec
     best = np.full(s.shape, -np.inf)
     for di in (-1, 0, 1):
         shifted = np.roll(s, di, axis=0)
-        if not wrap_axis0:
-            if di == 1:
-                shifted[0, :] = -np.inf
-            elif di == -1:
-                shifted[-1, :] = -np.inf
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
@@ -162,7 +157,7 @@ def music_aoa(snapshots: np.ndarray, array: ArrayConfig,
     f_grid = f_grid.reshape(len(az), len(el))
     spec = 1.0 / np.maximum(f_grid, 1e-300)
 
-    ii, jj = _peaks_2d(spec, dec.source_count, wrap_axis0=True)
+    ii, jj = _peaks_2d(spec, dec.source_count)
     scale = np.deg2rad(grid_step_deg)
     estimates = []
     for i, j in zip(ii, jj):

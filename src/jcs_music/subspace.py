@@ -10,7 +10,6 @@ import numpy as np
 @dataclass(frozen=True)
 class SourceCount:
     count: int
-    threshold: float           # alpha_t = v[L]/mean(v)
     fallback: bool             # no differential passed the gap test
 
 
@@ -20,7 +19,6 @@ class SubspaceDecomposition:
     signal_basis: np.ndarray   # columns 0..count-1
     noise_basis: np.ndarray    # remaining columns
     source_count: int
-    threshold: float
     fallback: bool
 
 
@@ -95,11 +93,7 @@ def detect_source_count(eigenvalues: np.ndarray, epsilon: float = 1.0,
         else:
             break
     fallback = count == 0
-    if fallback:
-        count = 1
-    m_x = v.mean()
-    alpha = float(v[count - 1] / m_x) if m_x > 0 else 0.0
-    return SourceCount(count=count, threshold=alpha, fallback=fallback)
+    return SourceCount(count=max(count, 1), fallback=fallback)
 
 
 def decompose(cov: np.ndarray, epsilon: float = 1.0,
@@ -120,15 +114,11 @@ def decompose(cov: np.ndarray, epsilon: float = 1.0,
     u = u[:, order]
     if n_sources is None:
         sc = detect_source_count(w, epsilon=epsilon, max_rank=max_rank)
-        count, thresh, fallback = sc.count, sc.threshold, sc.fallback
+        count, fallback = sc.count, sc.fallback
     else:
-        count = int(n_sources)
-        m_x = w.mean()
-        thresh = float(w[count - 1] / m_x) if m_x > 0 else 0.0
-        fallback = False
+        count, fallback = int(n_sources), False
     return SubspaceDecomposition(eigenvalues=w,
                                  signal_basis=u[:, :count],
                                  noise_basis=u[:, count:],
                                  source_count=count,
-                                 threshold=thresh,
                                  fallback=fallback)

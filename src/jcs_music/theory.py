@@ -68,70 +68,53 @@ def _effective_rank(s: np.ndarray, n_rows: int, n_cols: int,
     return max(1, min(max_rank, int(np.sum(s > floor))))
 
 
+def _noiseless_echo(scenario: Scenario, wave: WaveformConfig,
+                    array: ArrayConfig, beams: Beamformers,
+                    noise: NoiseConfig, rng: np.random.Generator,
+                    c: float) -> channel.EchoRealization:
+    """Noiseless echo, every reflection factor at its RMS magnitude."""
+    rms = np.array([np.sqrt(p.reflect_var_sense) for p in scenario.paths],
+                   dtype=complex)
+    return channel.synthesize_echo(scenario, wave, array, beams, noise, rng,
+                                   reflections=rms, noiseless=True, c=c)
+
+
+def _perturbation_draws(y: np.ndarray, a: np.ndarray, a1: np.ndarray,
+                        noise_var: float, n_paths: int,
+                        rng: np.random.Generator, n_draws: int) -> np.ndarray:
+    """Draws of the first-order error of d parameters, shape (d, n_draws).
+
+    The steering vector a (dim,) and its derivatives a1 (dim, d) run down
+    the rows of the noiseless matrix y.  The error is a fixed linear map
+    of the noise projected onto the signal subspace, normalized by the
+    d x d noise-subspace curvature.
+    """
+    # a tall y needs its full left basis; a wide y must not form a full V
+    u, s, _ = np.linalg.svd(y, full_matrices=y.shape[0] > y.shape[1])
+    rank = _effective_rank(s, y.shape[0], y.shape[1], noise_var, n_paths)
+    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
+    proj = u_0 @ (u_0.conj().T @ a1)                # P0 a1, (dim, d)
+    curvature = np.real(a1.conj().T @ proj)         # d x d (no 2x)
+    # ||V_s Sigma^-1 U_s^H a|| with orthonormal V_s columns
+    vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
+    z = _complex_normal(rng, (y.shape[0], n_draws), noise_var * vnorm2)
+    return np.linalg.solve(curvature, np.real(proj.conj().T @ z))
+
+
 def aoa_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
                            array: ArrayConfig, beams: Beamformers,
                            noise: NoiseConfig, rng: np.random.Generator,
                            n_draws: int = 1000,
                            c: float = SPEED_OF_LIGHT) -> np.ndarray:
-    """Draws of the direct-path AoA error (azimuth, elevation), shape (2, n).
-
-    First-order subspace perturbation: the error is a fixed linear map of
-    the noise matrix projected onto the signal subspace, normalized by
-    the noise-subspace curvature.
-    """
-    rms = np.array([np.sqrt(p.reflect_var_sense) for p in scenario.paths],
-                   dtype=complex)
-    real = channel.synthesize_echo(scenario, wave, array, beams, noise,
-                                   rng, reflections=rms, noiseless=True, c=c)
-    y = real.snapshots.reshape(array.size, -1)
-    u, s, _ = np.linalg.svd(y, full_matrices=False)
-    sigma_w2 = noise.total_sense_var
-    rank = _effective_rank(s, y.shape[0], y.shape[1], sigma_w2,
-                           scenario.n_paths)
-    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
-
+    """Draws of the direct-path AoA error (azimuth, elevation), shape (2, n),
+    from the array rows of the noiseless snapshot matrix."""
+    real = _noiseless_echo(scenario, wave, array, beams, noise, rng, c)
     p0 = scenario.mue_path.aoa
-    a = spatial_steering(array, p0)
     first, _ = spatial_steering_derivs(array, p0)
-    proj0 = u_0 @ (u_0.conj().T @ first)            # P0 a1, (PQ, 2)
-    h_p0 = np.real(first.conj().T @ proj0)          # 2x2 curvature (no 2x)
-    # ||V_s Sigma^-1 U_s^H a|| with orthonormal V_s columns
-    vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
-    z = _complex_normal(rng, (array.size, n_draws), sigma_w2 * vnorm2)
-    rhs = np.real(proj0.conj().T @ z)               # (2, n_draws)
-    return np.linalg.solve(h_p0, rhs)
-
-
-def _beam_channel_noiseless(scenario: Scenario, wave: WaveformConfig,
-                            array: ArrayConfig, beams: Beamformers,
-                            noise: NoiseConfig, rng: np.random.Generator,
-                            c: float) -> np.ndarray:
-    """Noiseless symbol-erased per-beam channel matrix for the direct path."""
-    rms = np.array([np.sqrt(p.reflect_var_sense) for p in scenario.paths],
-                   dtype=complex)
-    real = channel.synthesize_echo(scenario, wave, array, beams, noise,
-                                   rng, reflections=rms, noiseless=True, c=c)
-    w = channel.sense_rx_beamformer(array, scenario.mue_path.aoa)
-    ybar = np.tensordot(w.conj(), real.signal, axes=([0], [0]))
-    return ybar / real.symbols
-
-
-def _ramp_perturbation_draws(h_p: np.ndarray, a, a1, sigma_tr2: float,
-                             n_paths: int, rng: np.random.Generator,
-                             n_draws: int) -> np.ndarray:
-    """Draws of one line-spectrum stage's parameter error.
-
-    The phase ramp runs down the rows of the noiseless matrix h_p; a and
-    a1 are its steering vector and derivative at the true parameter.
-    """
-    u, s, _ = np.linalg.svd(h_p, full_matrices=True)
-    rank = _effective_rank(s, h_p.shape[0], h_p.shape[1], sigma_tr2, n_paths)
-    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
-    proj1 = u_0 @ (u_0.conj().T @ a1)
-    h_0 = float(np.real(np.vdot(a1, proj1)))
-    vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
-    z = _complex_normal(rng, (h_p.shape[0], n_draws), sigma_tr2 * vnorm2)
-    return np.real(proj1.conj().T @ z) / h_0
+    return _perturbation_draws(real.snapshots.reshape(array.size, -1),
+                               spatial_steering(array, p0), first,
+                               noise.total_sense_var, scenario.n_paths, rng,
+                               n_draws)
 
 
 def range_doppler_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
@@ -147,19 +130,21 @@ def range_doppler_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
     the symbol division's power inflation E[1/|d|^2].  The range stage
     draws from rng before the Doppler stage.
     """
-    h_p = _beam_channel_noiseless(scenario, wave, array, beams, noise, rng, c)
+    real = _noiseless_echo(scenario, wave, array, beams, noise, rng, c)
+    w = channel.sense_rx_beamformer(array, scenario.mue_path.aoa)
+    h_p = real.beamform(w) / real.symbols
     sigma_tr2 = noise.total_sense_var * inverse_symbol_power(wave.qam_order)
     lam = wave.wavelength(c)
     p0 = scenario.mue_path
 
     a, a1, _ = range_steering_derivs(wave.n_subcarriers,
                                      wave.subcarrier_spacing, 2.0 * p0.d1, c)
-    delta_r = _ramp_perturbation_draws(h_p, a, a1, sigma_tr2,
-                                       scenario.n_paths, rng, n_draws)
+    delta_r = _perturbation_draws(h_p, a, a1[:, None], sigma_tr2,
+                                  scenario.n_paths, rng, n_draws)[0]
     a, a1, _ = doppler_steering_derivs(wave.n_symbols, wave.symbol_duration,
                                        2.0 * p0.v1 / lam)
-    delta_f = _ramp_perturbation_draws(h_p.T, a, a1, sigma_tr2,
-                                       scenario.n_paths, rng, n_draws)
+    delta_f = _perturbation_draws(h_p.T, a, a1[:, None], sigma_tr2,
+                                  scenario.n_paths, rng, n_draws)[0]
     return delta_r, delta_f
 
 

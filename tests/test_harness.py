@@ -297,6 +297,28 @@ def test_noise_only_beam_falls_back_and_stays_in_domain(seed):
     _assert_in_domains(ctx, [r_rt], [f])
 
 
+def test_validate_theory_runs_the_trial_chain():
+    """The simulated rows of validate_theory are sensing_trial's true-beam
+    range and velocity errors: the scene of trial (seed, 0, 0), the noise
+    of trial (seed, point + 1, t)."""
+    ctx = _small_ctx()
+    seed, grid, trials = 4, (0.0, 10.0), 3
+    table = harness.validate_theory(ctx, sinr_grid=grid, trials=trials,
+                                    master_seed=seed, n_draws=20)
+    scen_seed, _ = harness.trial_rng(seed, 0, 0)
+    expect = []
+    for pi, sinr in enumerate(grid):
+        acc = {"range_mse": {"music": []}, "velocity_mse": {"music": []}}
+        for t in range(trials):
+            _, rng = harness.trial_rng(seed, pi + 1, t)
+            res = harness.sensing_trial(ctx, sinr, scen_seed, rng,
+                                        use_true_beam=True)
+            for metric, series in acc.items():
+                series["music"].append(res[metric]["music"])
+        expect.extend(harness._aggregate(acc, sinr, trials, seed))
+    assert table.filter(series="music").rows == expect
+
+
 # -- config --------------------------------------------------------------
 
 def test_config_unknown_key_path(tmp_path):
@@ -403,6 +425,41 @@ def test_cli_crb(tmp_path):
     assert rc == 0
     table = ResultTable.from_csv((tmp_path / "c" / "table.csv").read_text())
     assert {r.metric for r in table.rows} >= {"range_mse", "velocity_mse"}
+
+
+def _cli_exit(argv):
+    """Exit code of the CLI, whether main returns it or argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sweep-mse", "--trials", "0"], "sweep.trials"),
+    (["sweep-ber", "--trials", "-2"], "sweep.trials"),
+    (["validate-theory", "--trials", "0"], "sweep.trials"),
+    (["crb", "--sinr", "nan"], "sweep.sinr_grid_db"),
+    (["sweep-ber", "--sinr", "inf"], "sweep.sinr_grid_db"),
+    (["validate-theory", "--draws", "0"], "--draws"),
+    (["spectrum", "--pad", "0"], "--pad"),
+])
+def test_cli_rejects_bad_flags(argv, named, tmp_path, capsys):
+    out = tmp_path / "res"
+    assert _cli_exit(argv + ["--out", str(out)]) == 2
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if "error:" in line]
+    assert len(err) == 1 and named in err[0], err
+    assert not out.exists()
+
+
+def test_cli_out_on_a_file_is_an_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert cli.main(["crb", "--sinr", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out:") and "Traceback" not in err
+    assert out.read_text() == "keep"
 
 
 _SWEEPS = """

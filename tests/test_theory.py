@@ -7,7 +7,9 @@ import pytest
 from jcs_music import channel, theory
 from jcs_music.channel import NoiseConfig, WaveformConfig
 from jcs_music.scenario import generate_scenario
-from jcs_music.steering import ArrayConfig
+from jcs_music.steering import (ArrayConfig, doppler_steering_derivs,
+                                range_steering_derivs, spatial_steering,
+                                spatial_steering_derivs)
 
 C = 299792458.0
 
@@ -233,3 +235,71 @@ def test_prediction_tracks_simulation(wave, array, noise):
                                      n_draws=2000, c=C)
     ratio_db = abs(10 * np.log10(rep.mse_distance / sim))
     assert ratio_db < 3.0
+
+
+# -- one first-order stage ------------------------------------------------
+# The per-parameter bodies the shared stage replaced, kept as references.
+
+def _ramp_perturbation_draws(h_p, a, a1, sigma_tr2, n_paths, rng, n_draws):
+    """Range or Doppler draws, one scalar parameter."""
+    u, s, _ = np.linalg.svd(h_p, full_matrices=True)
+    rank = theory._effective_rank(s, h_p.shape[0], h_p.shape[1], sigma_tr2,
+                                  n_paths)
+    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
+    proj1 = u_0 @ (u_0.conj().T @ a1)
+    h_0 = float(np.real(np.vdot(a1, proj1)))
+    vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
+    z = theory._complex_normal(rng, (h_p.shape[0], n_draws),
+                               sigma_tr2 * vnorm2)
+    return np.real(proj1.conj().T @ z) / h_0
+
+
+def _aoa_draws(y, a, first, sigma_w2, n_paths, rng, n_draws):
+    """Azimuth and elevation draws, two parameters."""
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
+    rank = theory._effective_rank(s, y.shape[0], y.shape[1], sigma_w2,
+                                  n_paths)
+    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
+    proj0 = u_0 @ (u_0.conj().T @ first)
+    h_p0 = np.real(first.conj().T @ proj0)
+    vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
+    z = theory._complex_normal(rng, (y.shape[0], n_draws), sigma_w2 * vnorm2)
+    return np.linalg.solve(h_p0, np.real(proj0.conj().T @ z))
+
+
+@pytest.mark.parametrize("stage", ["range", "doppler", "aoa"])
+def test_perturbation_stage_matches_per_parameter_bodies(stage, wave, array,
+                                                         noise):
+    """The shared stage reproduces each replaced body to rounding, d=1
+    for range and Doppler, d=2 for AoA, and draws the same stream."""
+    scen, beams, w = _setup(4, wave, array, noise, 5.0)
+    real = theory._noiseless_echo(scen, w, array, beams, noise,
+                                  np.random.default_rng(0), C)
+    p0 = scen.mue_path
+    if stage == "aoa":
+        y = real.snapshots.reshape(array.size, -1)
+        a = spatial_steering(array, p0.aoa)
+        a1, _ = spatial_steering_derivs(array, p0.aoa)
+        var, ref_fn, new_a1 = noise.total_sense_var, _aoa_draws, a1
+    else:
+        h_p = real.beamform(channel.sense_rx_beamformer(array, p0.aoa)) \
+            / real.symbols
+        if stage == "range":
+            y = h_p
+            a, a1, _ = range_steering_derivs(w.n_subcarriers,
+                                             w.subcarrier_spacing,
+                                             2.0 * p0.d1, C)
+        else:
+            y = h_p.T
+            a, a1, _ = doppler_steering_derivs(w.n_symbols, w.symbol_duration,
+                                               2.0 * p0.v1 / w.wavelength(C))
+        var = noise.total_sense_var * theory.inverse_symbol_power(w.qam_order)
+        ref_fn, new_a1 = _ramp_perturbation_draws, a1[:, None]
+    rng_ref, rng_new = np.random.default_rng(7), np.random.default_rng(7)
+    ref = ref_fn(y, a, a1, var, scen.n_paths, rng_ref, 500)
+    got = theory._perturbation_draws(y, a, new_a1, var, scen.n_paths,
+                                     rng_new, 500)
+    assert got.shape == (new_a1.shape[1], 500)
+    got = got if stage == "aoa" else got[0]
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
