@@ -82,7 +82,10 @@ def main(argv=None) -> int:
     if getattr(args, "trials", None) is not None:
         sweep["trials"] = args.trials
     if getattr(args, "sinr", None) is not None:
-        sweep["sinr_grid_db"] = args.sinr
+        # sweep-ber's grid is over C-SINR, every other grid over S-SINR
+        key = "csinr_grid_db" if args.command == "sweep-ber" else \
+            "sinr_grid_db"
+        sweep[key] = args.sinr
     try:
         cfg = load_config(args.config, overrides={"sweep": sweep})
         ctx = bind(cfg, legacy_c=args.legacy_c or None)

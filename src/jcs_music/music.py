@@ -15,8 +15,8 @@ from .steering import (Angle2D, ArrayConfig, doppler_steering_derivs,
                        doppler_steering_grid, range_steering_derivs,
                        range_steering_grid, spatial_steering,
                        spatial_steering_derivs, spatial_steering_grid)
-from .subspace import (SubspaceDecomposition, covariance, decompose,
-                       smoothed_covariance)
+from .subspace import (SubspaceDecomposition, decompose,
+                       decompose_snapshots, smoothed_covariance)
 
 NEWTON_MAX_ITER = 20
 NEWTON_TOL = 1e-7
@@ -51,21 +51,20 @@ def newton_refine_1d(x0: float | np.ndarray, derivs,
     natural unit (coarse cell width); iteration stops once every
     |update| < tol * scale.  On singular curvature or an objective
     increase the start point is kept and the estimate flagged
-    unconverged.
+    unconverged.  derivs is evaluated once per point visited, so it
+    must be pure.
     """
-    x = x0
-    f0, _, _ = derivs(x0)
-    f_best = f0
+    f0, g, h = derivs(x0)
+    x, f_best = x0, f0
     converged = False
     it = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        f, g, h = derivs(x)
         step = _newton_step(g, h)
         if step is None:
             x, f_best = x0, f0
             break
         x_new = x - step
-        f_new, _, _ = derivs(x_new)
+        f_new, g, h = derivs(x_new)
         if f_new > f_best + 1e-12:
             x, f_best = x0, f0
             break
@@ -73,9 +72,8 @@ def newton_refine_1d(x0: float | np.ndarray, derivs,
         if np.max(np.abs(step)) < NEWTON_TOL * scale:
             converged = True
             break
-    f_final, _, _ = derivs(x)
-    return SpectrumEstimate(value=x, spectrum=1.0 / max(f_final, 1e-300),
-                            objective=f_final, iterations=it,
+    return SpectrumEstimate(value=x, spectrum=1.0 / max(f_best, 1e-300),
+                            objective=f_best, iterations=it,
                             converged=converged)
 
 
@@ -142,9 +140,7 @@ def music_aoa(snapshots: np.ndarray, array: ArrayConfig,
     SubspaceDecomposition).
     """
     y = snapshots.reshape(snapshots.shape[0], -1)
-    r = covariance(y)
-    dec = decompose(r, epsilon=epsilon,
-                    max_rank=min(y.shape), n_sources=n_sources)
+    dec = decompose_snapshots(y, epsilon=epsilon, n_sources=n_sources)
     us = dec.signal_basis
     un = dec.noise_basis
 
@@ -227,8 +223,7 @@ def _line_spectrum_music(snapshots: np.ndarray, n_grid: int, sign: int,
     grid peaks is refined by Newton on the noise-subspace objective
     ||U_n^H a(x)||^2.  Returns (estimates, decomposition).
     """
-    dec = decompose(covariance(snapshots), epsilon=epsilon,
-                    max_rank=min(snapshots.shape), n_sources=n_sources)
+    dec = decompose_snapshots(snapshots, epsilon=epsilon, n_sources=n_sources)
     spec = _ramp_grid_spectrum(dec.signal_basis, n_grid, sign)
     idx = _peaks_1d(spec, dec.source_count)
     un = dec.noise_basis
@@ -291,8 +286,7 @@ def _grid_spectrum(snapshots: np.ndarray, steering_grid,
     """MUSIC pseudo-spectrum of the rows of `snapshots` at the steering
     vectors steering_grid(dim) returns, shape (dim, n_points)."""
     if window is None:
-        dec = decompose(covariance(snapshots), max_rank=min(snapshots.shape),
-                        n_sources=n_sources)
+        dec = decompose_snapshots(snapshots, n_sources=n_sources)
     else:
         dec = decompose(smoothed_covariance(snapshots, window),
                         n_sources=n_sources)

@@ -22,11 +22,16 @@ class SubspaceDecomposition:
     fallback: bool
 
 
-def covariance(snapshots: np.ndarray) -> np.ndarray:
-    """Hermitian sample covariance Y Y^H / n_snapshots."""
+def _matrix(snapshots: np.ndarray) -> np.ndarray:
     y = np.asarray(snapshots)
     if y.ndim != 2 or y.size == 0:
         raise ValueError("snapshots must be a nonempty 2-D matrix")
+    return y
+
+
+def covariance(snapshots: np.ndarray) -> np.ndarray:
+    """Hermitian sample covariance Y Y^H / n_snapshots."""
+    y = _matrix(snapshots)
     r = y @ y.conj().T / y.shape[1]
     return 0.5 * (r + r.conj().T)
 
@@ -41,9 +46,7 @@ def smoothed_covariance(snapshots: np.ndarray, window: int,
     count; useful when the plain covariance is snapshot-starved at very
     low SINR.
     """
-    y = np.asarray(snapshots)
-    if y.ndim != 2 or y.size == 0:
-        raise ValueError("snapshots must be a nonempty 2-D matrix")
+    y = _matrix(snapshots)
     n = y.shape[0]
     if not 1 <= window <= n:
         raise ValueError("window must be in [1, n_rows]")
@@ -96,6 +99,26 @@ def detect_source_count(eigenvalues: np.ndarray, epsilon: float = 1.0,
     return SourceCount(count=max(count, 1), fallback=fallback)
 
 
+def _split(w: np.ndarray, u: np.ndarray, epsilon: float,
+           max_rank: int | None,
+           n_sources: int | None) -> SubspaceDecomposition:
+    """Signal/noise split of descending eigenvalues w with eigenvectors
+    u, as `decompose` documents it."""
+    dim = u.shape[0]
+    if n_sources is None:
+        sc = detect_source_count(w, epsilon=epsilon, max_rank=max_rank)
+        count, fallback = sc.count, sc.fallback
+    elif 1 <= n_sources < dim:
+        count, fallback = int(n_sources), False
+    else:
+        raise ValueError(f"n_sources must be in [1, {dim}), got {n_sources}")
+    return SubspaceDecomposition(eigenvalues=w,
+                                 signal_basis=u[:, :count],
+                                 noise_basis=u[:, count:],
+                                 source_count=count,
+                                 fallback=fallback)
+
+
 def decompose(cov: np.ndarray, epsilon: float = 1.0,
               max_rank: int | None = None,
               n_sources: int | None = None) -> SubspaceDecomposition:
@@ -105,20 +128,28 @@ def decompose(cov: np.ndarray, epsilon: float = 1.0,
     stage reuses the count detected by another); it must leave both
     subspaces nonempty, 1 <= n_sources < dim.
     """
-    dim = cov.shape[0]
-    if n_sources is not None and not 1 <= n_sources < dim:
-        raise ValueError(f"n_sources must be in [1, {dim}), got {n_sources}")
     w, u = np.linalg.eigh(cov)
     order = np.argsort(w)[::-1]
-    w = w[order]
-    u = u[:, order]
-    if n_sources is None:
-        sc = detect_source_count(w, epsilon=epsilon, max_rank=max_rank)
-        count, fallback = sc.count, sc.fallback
-    else:
-        count, fallback = int(n_sources), False
-    return SubspaceDecomposition(eigenvalues=w,
-                                 signal_basis=u[:, :count],
-                                 noise_basis=u[:, count:],
-                                 source_count=count,
-                                 fallback=fallback)
+    return _split(w[order], u[:, order], epsilon, max_rank, n_sources)
+
+
+def decompose_snapshots(snapshots: np.ndarray, epsilon: float = 1.0,
+                        n_sources: int | None = None) -> SubspaceDecomposition:
+    """`decompose` of covariance(snapshots) with max_rank = min(shape).
+
+    A tall matrix (more rows than snapshots) is split from its full SVD
+    Y = U S V^H: the covariance eigenvalues are S^2 / n_snapshots, padded
+    with the structural zeros, and its eigenvectors are the columns of U.
+    That skips the rank-deficient rows x rows covariance and its `eigh`.
+    A wide or square matrix takes the covariance `eigh`, which is the
+    cheaper of the two there.
+    """
+    y = _matrix(snapshots)
+    dim, n_snap = y.shape
+    if dim <= n_snap:
+        return decompose(covariance(y), epsilon=epsilon, max_rank=dim,
+                         n_sources=n_sources)
+    u, s, _ = np.linalg.svd(y)
+    w = np.zeros(dim)
+    w[:n_snap] = s ** 2 / n_snap
+    return _split(w, u, epsilon, n_snap, n_sources)

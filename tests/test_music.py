@@ -4,9 +4,10 @@ and invariances of the pseudo-spectrum."""
 import numpy as np
 import pytest
 
-from jcs_music import channel
+from jcs_music import channel, music
 from jcs_music.channel import NoiseConfig, WaveformConfig
-from jcs_music.music import (SpectrumEstimate, _peaks_1d, _ramp_grid_spectrum,
+from jcs_music.music import (NEWTON_MAX_ITER, NEWTON_TOL, SpectrumEstimate,
+                             _newton_step, _peaks_1d, _ramp_grid_spectrum,
                              beamform_and_erase, doppler_spectrum, music_aoa,
                              music_doppler, music_range, newton_refine_1d,
                              range_spectrum)
@@ -159,6 +160,102 @@ def test_newton_objective_increase_reverts():
     est = newton_refine_1d(0.5, derivs, scale=1.0)
     assert not est.converged
     assert est.value == 0.5
+
+
+def _newton_oracle(x0, derivs, scale):
+    """The Newton loop as it stood before each point was evaluated once:
+    it evaluated x0 twice, each accepted point twice and the final point
+    once more."""
+    x = x0
+    f0, _, _ = derivs(x0)
+    f_best = f0
+    converged = False
+    it = 0
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        f, g, h = derivs(x)
+        step = _newton_step(g, h)
+        if step is None:
+            x, f_best = x0, f0
+            break
+        x_new = x - step
+        f_new, _, _ = derivs(x_new)
+        if f_new > f_best + 1e-12:
+            x, f_best = x0, f0
+            break
+        x, f_best = x_new, f_new
+        if np.max(np.abs(step)) < NEWTON_TOL * scale:
+            converged = True
+            break
+    f_final, _, _ = derivs(x)
+    return SpectrumEstimate(value=x, spectrum=1.0 / max(f_final, 1e-300),
+                            objective=f_final, iterations=it,
+                            converged=converged)
+
+
+_NEWTON_CASES = {
+    # (derivs, x0, converged, points evaluated beyond the iteration
+    # count: x0 plus one point per step taken)
+    "converged": (lambda x: (np.cosh(x - 1.3), np.sinh(x - 1.3),
+                             np.cosh(x - 1.3)), 0.0, True, 1),
+    "vector": (lambda p: (float(np.sum(np.cosh(p - [0.4, -1.3]))),
+                          np.sinh(p - [0.4, -1.3]),
+                          np.diag(np.cosh(p - [0.4, -1.3]))),
+               np.zeros(2), True, 1),
+    # x^4: each step keeps 2/3 of x, too slow to converge in 20 steps
+    "max-iterations": (lambda x: (x ** 4, 4.0 * x ** 3, 12.0 * x ** 2),
+                       1.0, False, 1),
+    "reverted": (lambda x: (-x ** 2 + 1.0, -2.0 * x, -2.0), 0.5, False, 1),
+    # the curvature vanishes at the first accepted point, x = 1: no step
+    # is taken from it, so no point beyond it is visited
+    "singular-curvature": (lambda x: ((x - 1.0) ** 2, 2.0 * (x - 1.0),
+                                      2.0 if x < 1.0 else 0.0),
+                           0.0, False, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_NEWTON_CASES))
+def test_newton_evaluates_each_point_once(case):
+    fn, x0, converged, extra = _NEWTON_CASES[case]
+    calls = []
+
+    def derivs(x):
+        calls.append(x)
+        return fn(x)
+
+    est = newton_refine_1d(x0, derivs, scale=1.0)
+    assert est.converged == converged
+    assert len(calls) == est.iterations + extra
+
+    ref = _newton_oracle(x0, fn, scale=1.0)
+    np.testing.assert_array_equal(est.value, ref.value)
+    assert np.shape(est.value) == np.shape(ref.value)
+    assert (est.spectrum, est.objective, est.iterations, est.converged) == \
+        (ref.spectrum, ref.objective, ref.iterations, ref.converged)
+
+
+def test_newton_on_music_objectives_equals_oracle(wave, array, noise, rng,
+                                                  monkeypatch):
+    """Range, Doppler and AoA refinements of a noisy echo give the same
+    estimates, field for field, as the loop that evaluated points twice."""
+    scen = generate_scenario(2)
+    beams = channel.build_beamformers(scen, array)
+    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng, c=C)
+    w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
+    h_bar = echo.beamform(w0) / echo.symbols
+
+    def estimates():
+        return (music_range(h_bar, wave, c=C)[0]
+                + music_doppler(h_bar, wave)[0]
+                + music_aoa(echo.snapshots, array)[0])
+
+    new = estimates()
+    monkeypatch.setattr(music, "newton_refine_1d", _newton_oracle)
+    old = estimates()
+    assert len(new) == len(old) > 3
+    for e, o in zip(new, old):
+        np.testing.assert_array_equal(e.value, o.value)
+        assert (e.spectrum, e.objective, e.iterations, e.converged) == \
+            (o.spectrum, o.objective, o.iterations, o.converged)
 
 
 def test_spectrum_reciprocity():

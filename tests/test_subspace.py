@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcs_music.subspace import (covariance, decompose, detect_source_count,
-                                smoothed_covariance)
+from jcs_music.subspace import (covariance, decompose, decompose_snapshots,
+                                detect_source_count, smoothed_covariance)
 
 
 def test_covariance_hermitian_psd(rng):
@@ -127,6 +127,87 @@ def test_decompose_n_sources_override(rng):
     for bad in (0, 8, 9):
         with pytest.raises(ValueError, match="n_sources"):
             decompose(cov, n_sources=bad)
+
+
+def _ramps_in_noise(rng, n, m, amp=3.0):
+    """Two phase ramps down the rows (times ramps along the columns) in
+    unit complex noise: the shape of a per-beam range matrix."""
+    k, l_ = np.arange(n)[:, None], np.arange(m)[None, :]
+    y = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))) / np.sqrt(2)
+    for fr, fd in ((0.11, 0.3), (0.37, 0.71)):
+        y += amp * np.exp(-2j * np.pi * fr * k) * np.exp(2j * np.pi * fd * l_)
+    return y
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+@pytest.mark.parametrize("shape", [(256, 64), (24, 8)])
+def test_decompose_snapshots_matches_covariance_eigh(shape, rng):
+    """A tall matrix is split from its SVD: the same count, eigenvalues
+    and subspaces as the eigh of its covariance at max_rank = n_cols."""
+    n, m = shape
+    y = _ramps_in_noise(rng, n, m)
+    dec = decompose_snapshots(y)
+    ref = decompose(covariance(y), max_rank=m)
+    assert (dec.source_count, dec.fallback) == (ref.source_count,
+                                                ref.fallback)
+    assert dec.eigenvalues.shape == (n,)
+    np.testing.assert_allclose(dec.eigenvalues[:m], ref.eigenvalues[:m],
+                               rtol=1e-12)
+    assert np.all(dec.eigenvalues[m:] == 0.0)
+    assert dec.signal_basis.shape == (n, dec.source_count)
+    assert dec.noise_basis.shape == (n, n - dec.source_count)
+    np.testing.assert_allclose(_projector(dec.signal_basis),
+                               _projector(ref.signal_basis), atol=1e-12)
+    np.testing.assert_allclose(_projector(dec.noise_basis),
+                               _projector(ref.noise_basis), atol=1e-12)
+
+    # the override, and its bounds, as in decompose
+    forced = decompose_snapshots(y, n_sources=3)
+    assert forced.source_count == 3 and not forced.fallback
+    np.testing.assert_allclose(
+        _projector(forced.noise_basis),
+        _projector(decompose(covariance(y), n_sources=3).noise_basis),
+        atol=1e-12)
+    assert decompose_snapshots(y, n_sources=n - 1).noise_basis.shape == (n, 1)
+    for bad in (0, n, n + 1):
+        with pytest.raises(ValueError, match="n_sources"):
+            decompose_snapshots(y, n_sources=bad)
+
+    # noise only, with the two top singular values set equal: the first
+    # gap is 0, so the count falls back to 1 on both paths
+    u, s, vh = np.linalg.svd(
+        rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        full_matrices=False)
+    s[1] = s[0]
+    flat = (u * s) @ vh
+    dec = decompose_snapshots(flat)
+    ref = decompose(covariance(flat), max_rank=m)
+    assert (dec.source_count, dec.fallback) == (1, True)
+    assert (ref.source_count, ref.fallback) == (1, True)
+
+
+@pytest.mark.parametrize("shape", [(64, 256), (8, 24), (8, 8)])
+def test_decompose_snapshots_wide_is_the_covariance_eigh(shape, rng):
+    """A wide or square matrix takes exactly the covariance eigh path."""
+    y = _ramps_in_noise(rng, *shape)
+    dec = decompose_snapshots(y, epsilon=0.5)
+    ref = decompose(covariance(y), epsilon=0.5, max_rank=min(shape))
+    assert (dec.source_count, dec.fallback) == (ref.source_count,
+                                                ref.fallback)
+    np.testing.assert_array_equal(dec.eigenvalues, ref.eigenvalues)
+    np.testing.assert_array_equal(dec.signal_basis, ref.signal_basis)
+    np.testing.assert_array_equal(dec.noise_basis, ref.noise_basis)
+    with pytest.raises(ValueError, match="n_sources"):
+        decompose_snapshots(y, n_sources=shape[0])
+
+
+def test_decompose_snapshots_rejects_bad_input():
+    for bad in (np.zeros(5), np.zeros((0, 3)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="2-D"):
+            decompose_snapshots(bad)
 
 
 # -- subaperture smoothing ----------------------------------------------
