@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,15 +21,24 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _finite_float(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return val
+
+
+def _add_common(p: argparse.ArgumentParser, sinr_type=float,
+                sinr_help="SINR grid in dB (overrides the config grid)"
+                ) -> None:
     p.add_argument("--config", help="JSON config file overlaying the defaults")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--legacy-c", action="store_true",
                    help="use c = 3e8 m/s instead of the exact value")
-    p.add_argument("--sinr", type=float, nargs="+",
-                   help="SINR grid in dB (overrides the config grid)")
+    p.add_argument("--sinr", type=sinr_type, nargs="+", help=sinr_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-ber", help="BER sweep over link SINR for the "
                                          "four CSI cases")
-    _add_common(p)
+    # a C-SINR grid, which no config key holds: checked here, not as a key
+    _add_common(p, sinr_type=_finite_float,
+                sinr_help="C-SINR grid in dB (default 10 to 30 in 5 dB steps)")
     p.add_argument("--mue-x", type=float, default=75.0,
                    help="pinned user x coordinate")
     p.add_argument("--qam-order", type=int, default=64, choices=(4, 16, 64))
@@ -81,11 +93,9 @@ def main(argv=None) -> int:
     sweep = {}
     if getattr(args, "trials", None) is not None:
         sweep["trials"] = args.trials
-    if getattr(args, "sinr", None) is not None:
-        # sweep-ber's grid is over C-SINR, every other grid over S-SINR
-        key = "csinr_grid_db" if args.command == "sweep-ber" else \
-            "sinr_grid_db"
-        sweep[key] = args.sinr
+    if getattr(args, "sinr", None) is not None and \
+            args.command != "sweep-ber":
+        sweep["sinr_grid_db"] = args.sinr
     try:
         cfg = load_config(args.config, overrides={"sweep": sweep})
         ctx = bind(cfg, legacy_c=args.legacy_c or None)

@@ -39,7 +39,6 @@ DEFAULTS: dict[str, Any] = {
     },
     "sweep": {
         "sinr_grid_db": [-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0],
-        "csinr_grid_db": [10.0, 15.0, 20.0, 25.0, 30.0],
         "trials": 200,
     },
     "legacy_c": False,
@@ -125,8 +124,7 @@ def _validate(cfg: dict) -> None:
     require(sc["fading"] in ("phase", "rayleigh"),
             "scenario.fading: must be 'phase' or 'rayleigh'")
     sw = cfg["sweep"]
-    for key in ("sinr_grid_db", "csinr_grid_db"):
-        require(len(sw[key]) >= 1, f"sweep.{key}: must be nonempty")
+    require(len(sw["sinr_grid_db"]) >= 1, "sweep.sinr_grid_db: must be nonempty")
     require(int(sw["trials"]) >= 1, "sweep.trials: must be >= 1")
 
 

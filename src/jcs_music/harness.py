@@ -323,8 +323,8 @@ def run_sweep_ber(ctx: RunContext, csinr_grid=None, trials: int | None = None,
                   master_seed: int = 0, mue_x: float = 75.0,
                   qam_order: int = 64) -> ResultTable:
     """BER sweep over C-SINR for the four CSI cases."""
-    grid = list(ctx.config["sweep"]["csinr_grid_db"] if csinr_grid is None
-                else csinr_grid)
+    grid = [10.0, 15.0, 20.0, 25.0, 30.0] if csinr_grid is None \
+        else list(csinr_grid)
     n = int(ctx.config["sweep"]["trials"]) if trials is None else int(trials)
     rows: list[ResultRow] = []
     for pi, sinr in enumerate(grid):

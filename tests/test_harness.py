@@ -440,7 +440,7 @@ def _cli_exit(argv):
     (["sweep-ber", "--trials", "-2"], "sweep.trials"),
     (["validate-theory", "--trials", "0"], "sweep.trials"),
     (["crb", "--sinr", "nan"], "sweep.sinr_grid_db"),
-    (["sweep-ber", "--sinr", "inf"], "sweep.csinr_grid_db"),
+    (["sweep-ber", "--sinr", "inf"], "--sinr"),
     (["validate-theory", "--draws", "0"], "--draws"),
     (["spectrum", "--pad", "0"], "--pad"),
 ])
@@ -453,42 +453,15 @@ def test_cli_rejects_bad_flags(argv, named, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_csinr_grid_is_a_checked_config_key():
-    assert load_config()["sweep"]["csinr_grid_db"] == [10.0, 15.0, 20.0,
-                                                       25.0, 30.0]
-    for bad in ([], ["x"], [float("nan")], 20.0):
-        with pytest.raises(ConfigError, match=r"sweep\.csinr_grid_db"):
-            load_config(overrides={"sweep": {"csinr_grid_db": bad}})
-
-
-def test_sweep_ber_reads_the_csinr_grid_key():
-    ctx = bind(load_config(overrides={"sweep": {"csinr_grid_db": [22.0]}}))
-    table = harness.run_sweep_ber(ctx, trials=1)
-    assert {r.sinr_db for r in table.rows} == {22.0}
-    table = harness.run_sweep_ber(ctx, csinr_grid=[18.0], trials=1)
-    assert {r.sinr_db for r in table.rows} == {18.0}
-
-
-def test_cli_sweep_ber_grid_is_the_csinr_key(tmp_path, capsys):
-    """sweep-ber's --sinr overrides sweep.csinr_grid_db: a bad value is
-    reported under that key, and a config file's C-SINR grid is used when
-    the flag is absent."""
-    assert _cli_exit(["sweep-ber", "--sinr", "nan",
-                      "--out", str(tmp_path / "bad")]) == 2
-    err = capsys.readouterr().err
-    assert "error: sweep.csinr_grid_db" in err
-    assert not (tmp_path / "bad").exists()
-
+def test_cli_sweep_ber_sinr_is_the_csinr_grid(tmp_path):
+    """sweep-ber's --sinr is its C-SINR grid, not the S-SINR config key."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sweep": {"csinr_grid_db": [22.0],
-                                         "sinr_grid_db": [-7.0],
-                                         "trials": 1}}))
-    for extra, grid in (([], {22.0}), (["--sinr", "18"], {18.0})):
-        out = tmp_path / f"res{len(extra)}"
-        assert cli.main(["sweep-ber", "--config", str(cfg), "--out",
-                         str(out)] + extra) == 0
-        table = ResultTable.from_csv((out / "table.csv").read_text())
-        assert {r.sinr_db for r in table.rows} == grid
+    cfg.write_text(json.dumps({"sweep": {"sinr_grid_db": [-7.0]}}))
+    out = tmp_path / "res"
+    assert cli.main(["sweep-ber", "--config", str(cfg), "--sinr", "18",
+                     "--trials", "1", "--out", str(out)]) == 0
+    table = ResultTable.from_csv((out / "table.csv").read_text())
+    assert {r.sinr_db for r in table.rows} == {18.0}
 
 
 def test_cli_out_on_a_file_is_an_error(tmp_path, capsys):
