@@ -13,7 +13,7 @@ from .fft_baseline import fft_range_doppler, periodogram_map, pslr_db
 from .harness import (ResultRow, ResultTable, resolution_constants,
                       run_sweep_ber, run_sweep_mse, spectrum_snapshot,
                       validate_theory)
-from .music import (beamform_and_erase, music_aoa, music_doppler, music_range)
+from .music import music_aoa, music_doppler, music_range
 from .scenario import Scenario, generate_scenario
 from .steering import Angle2D, ArrayConfig, spatial_steering
 from .subspace import covariance, decompose, detect_source_count
@@ -25,7 +25,7 @@ __all__ = [
     "Angle2D", "ArrayConfig", "Beamformers", "CommRealization", "CrbReport",
     "EchoRealization", "LEGACY_SPEED_OF_LIGHT", "NoiseConfig", "ResultRow",
     "ResultTable", "RunContext", "SPEED_OF_LIGHT", "Scenario", "TheoryReport",
-    "WaveformConfig", "beamform_and_erase", "bind", "build_beamformers",
+    "WaveformConfig", "bind", "build_beamformers",
     "calibrate_power_comm", "calibrate_power_sense", "covariance", "crb",
     "decompose", "detect_source_count", "equalize_and_demodulate",
     "estimate_sigma_p", "fft_range_doppler", "generate_scenario",

@@ -89,15 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # sweep flags are checked as the config keys they stand for
-    sweep = {}
+    # config flags are checked as the config keys they stand for
+    sweep, scenario = {}, {}
     if getattr(args, "trials", None) is not None:
         sweep["trials"] = args.trials
     if getattr(args, "sinr", None) is not None and \
             args.command != "sweep-ber":
         sweep["sinr_grid_db"] = args.sinr
+    if getattr(args, "scatterers", None) is not None:
+        scenario["n_scatterers"] = args.scatterers
     try:
-        cfg = load_config(args.config, overrides={"sweep": sweep})
+        cfg = load_config(args.config, overrides={"sweep": sweep,
+                                                  "scenario": scenario})
         ctx = bind(cfg, legacy_c=args.legacy_c or None)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -134,7 +137,6 @@ def main(argv=None) -> int:
             sinr = args.sinr[0] if args.sinr else -20.0
             snap = harness.spectrum_snapshot(ctx, sinr_db=sinr,
                                              master_seed=args.seed,
-                                             n_scatterers=args.scatterers,
                                              pad=args.pad)
             rows = [harness.ResultRow(sinr, "pslr", k.replace("_pslr_db", ""),
                                       snap[k], 0.0, 1, args.seed)

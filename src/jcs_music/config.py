@@ -11,6 +11,7 @@ from typing import Any
 
 from .channel import NoiseConfig, WaveformConfig
 from .constants import speed_of_light
+from .scenario import MAX_SCATTERERS
 from .steering import ArrayConfig
 
 SCHEMA_VERSION = 1
@@ -120,7 +121,9 @@ def _validate(cfg: dict) -> None:
             "waveform.qam_order: must be one of 4, 16, 64")
     require(cfg["noise"]["noise_var"] > 0, "noise.noise_var: must be > 0")
     sc = cfg["scenario"]
-    require(int(sc["n_scatterers"]) >= 0, "scenario.n_scatterers: must be >= 0")
+    require(0 <= int(sc["n_scatterers"]) <= MAX_SCATTERERS,
+            f"scenario.n_scatterers: must be in [0, {MAX_SCATTERERS}], "
+            f"got {sc['n_scatterers']}")
     require(sc["fading"] in ("phase", "rayleigh"),
             "scenario.fading: must be 'phase' or 'rayleigh'")
     sw = cfg["sweep"]

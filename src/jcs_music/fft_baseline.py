@@ -37,15 +37,9 @@ def doppler_bin_width(wave: WaveformConfig) -> float:
     return 1.0 / (wave.n_symbols * wave.symbol_duration)
 
 
-def periodogram_map(h_bar: np.ndarray, pad: int = 1,
-                    window: str | None = None) -> np.ndarray:
+def periodogram_map(h_bar: np.ndarray, pad: int = 1) -> np.ndarray:
     """Magnitude of the 2-D transform, shape (N_c*pad, M_s*pad)."""
     x = np.asarray(h_bar, dtype=complex)
-    if window == "hann":
-        x = x * np.hanning(x.shape[0])[:, None]
-        x = x * np.hanning(x.shape[1])[None, :]
-    elif window is not None:
-        raise ValueError(f"unknown window {window!r}")
     nc, ms = h_bar.shape
     g = np.fft.ifft(x, n=nc * pad, axis=0, norm="ortho")
     g = np.fft.fft(g, n=ms * pad, axis=1, norm="ortho")
@@ -53,12 +47,10 @@ def periodogram_map(h_bar: np.ndarray, pad: int = 1,
 
 
 def fft_range_doppler(h_bar: np.ndarray, wave: WaveformConfig,
-                      pad: int = 1, window: str | None = None,
                       c: float = SPEED_OF_LIGHT) -> PeriodogramResult:
-    """Peak-bin range/Doppler estimate plus the (optionally padded) map."""
-    mag = periodogram_map(h_bar, pad=pad, window=window)
-    est_mag = mag if pad == 1 else periodogram_map(h_bar, pad=1, window=window)
-    kr, kd = np.unravel_index(int(np.argmax(est_mag)), est_mag.shape)
+    """Peak-bin range/Doppler estimate plus the unpadded map."""
+    mag = periodogram_map(h_bar)
+    kr, kd = np.unravel_index(int(np.argmax(mag)), mag.shape)
     dr = range_bin_width_rt(wave, c)
     df = doppler_bin_width(wave)
     r_rt = kr * dr

@@ -342,13 +342,11 @@ def run_sweep_ber(ctx: RunContext, csinr_grid=None, trials: int | None = None,
 
 
 def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
-                      master_seed: int = 0, n_scatterers: int | None = None,
-                      pad: int = 8) -> dict:
+                      master_seed: int = 0, pad: int = 8) -> dict:
     """Normalized range and velocity spectra of one realization, with PSLR."""
     scen_seed, rng = trial_rng(master_seed, 0, 0)
     cfg = ctx.config["scenario"]
-    overrides = {} if n_scatterers is None else {"n_scatterers": n_scatterers}
-    scenario = _scene(ctx, scen_seed, **overrides)
+    scenario = _scene(ctx, scen_seed)
     beams = channel.build_beamformers(scenario, ctx.array)
     p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
                                          sinr_db, ctx.c)
@@ -358,19 +356,8 @@ def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
     w0 = channel.sense_rx_beamformer(ctx.array, scenario.mue_path.aoa)
     h_bar = echo.beamform(w0) / echo.symbols
     lam = wave.wavelength(ctx.c)
-
-    # half-aperture smoothed covariance keeps the subspace usable at the
-    # deep-negative SINRs this snapshot targets
-    r_max = ctx.c / wave.subcarrier_spacing
-    r_grid = np.arange(0.0, r_max, ctx.c / (16.0 * wave.bandwidth))
-    s_range = music.range_spectrum(h_bar, wave, r_grid, c=ctx.c,
-                                   window=wave.n_subcarriers // 2,
-                                   n_sources=1)
-    f_max = 1.0 / wave.symbol_duration
-    f_grid = np.arange(0.0, f_max, f_max / (16.0 * wave.n_symbols))
-    s_dopp = music.doppler_spectrum(h_bar, wave, f_grid,
-                                    window=wave.n_symbols // 2,
-                                    n_sources=1)
+    r_grid, s_range = music.range_spectrum(h_bar, wave, c=ctx.c)
+    f_grid, s_dopp = music.doppler_spectrum(h_bar, wave)
 
     mag = fft_baseline.periodogram_map(h_bar, pad=pad)
     power = mag ** 2

@@ -1,6 +1,7 @@
 """MUSIC estimators: 2D AoA search, per-beam symbol erasure, and one
 line-spectrum core for range and Doppler, each a coarse-grid search plus
-Newton refinement."""
+Newton refinement; the plotted range and Doppler pseudo-spectra sample the
+same ramp as a zero-padded DFT."""
 
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ import numpy as np
 from .channel import WaveformConfig
 from .constants import SPEED_OF_LIGHT
 from .steering import (Angle2D, ArrayConfig, doppler_steering_derivs,
-                       doppler_steering_grid, range_steering_derivs,
-                       range_steering_grid, spatial_steering,
+                       range_steering_derivs, spatial_steering,
                        spatial_steering_derivs, spatial_steering_grid)
 from .subspace import (SubspaceDecomposition, decompose,
                        decompose_snapshots, smoothed_covariance)
@@ -21,6 +21,9 @@ from .subspace import (SubspaceDecomposition, decompose,
 NEWTON_MAX_ITER = 20
 NEWTON_TOL = 1e-7
 CURVATURE_TOL = 1e-14
+AOA_GRID_STEP_DEG = 1.0
+# points per unit of N_c (range) or M_s (Doppler) in the plotted spectra
+SPECTRUM_OVERSAMPLE = 16
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,11 @@ def _peaks_2d(spec: np.ndarray, n_peaks: int):
 
 
 @lru_cache(maxsize=8)
-def _aoa_grid(rows: int, cols: int, spacing: float, wavelength: float,
-              step_deg: float):
+def _aoa_grid(rows: int, cols: int, spacing: float, wavelength: float):
     """Coarse AoA grid and its steering matrix, cached per array config."""
-    az = np.deg2rad(np.arange(-180.0, 180.0, step_deg))
-    el = np.deg2rad(np.arange(0.0, 90.0 + step_deg / 2, step_deg))
+    step = AOA_GRID_STEP_DEG
+    az = np.deg2rad(np.arange(-180.0, 180.0, step))
+    el = np.deg2rad(np.arange(0.0, 90.0 + step / 2, step))
     azg, elg = np.meshgrid(az, el, indexing="ij")
     cfg = ArrayConfig(rows, cols, spacing, wavelength)
     a = spatial_steering_grid(cfg, azg.ravel(), elg.ravel())
@@ -131,7 +134,6 @@ def _aoa_grid(rows: int, cols: int, spacing: float, wavelength: float,
 
 
 def music_aoa(snapshots: np.ndarray, array: ArrayConfig,
-              grid_step_deg: float = 1.0, epsilon: float = 1.0,
               n_sources: int | None = None):
     """2D AoA estimates from echo snapshots.
 
@@ -140,12 +142,12 @@ def music_aoa(snapshots: np.ndarray, array: ArrayConfig,
     SubspaceDecomposition).
     """
     y = snapshots.reshape(snapshots.shape[0], -1)
-    dec = decompose_snapshots(y, epsilon=epsilon, n_sources=n_sources)
+    dec = decompose_snapshots(y, n_sources=n_sources)
     us = dec.signal_basis
     un = dec.noise_basis
 
     az, el, a_grid = _aoa_grid(array.rows, array.cols, array.spacing,
-                               array.wavelength, grid_step_deg)
+                               array.wavelength)
     # f = ||a||^2 - ||U_s^H a||^2; signal-subspace form is cheap when
     # the source count is small
     proj = us.conj().T @ a_grid
@@ -154,7 +156,7 @@ def music_aoa(snapshots: np.ndarray, array: ArrayConfig,
     spec = 1.0 / np.maximum(f_grid, 1e-300)
 
     ii, jj = _peaks_2d(spec, dec.source_count)
-    scale = np.deg2rad(grid_step_deg)
+    scale = np.deg2rad(AOA_GRID_STEP_DEG)
     estimates = []
     for i, j in zip(ii, jj):
         est = _newton_refine_aoa(np.array([az[i], el[j]]), un, array, scale)
@@ -189,7 +191,9 @@ def beamform_and_erase(snapshots: np.ndarray, w_rx: np.ndarray,
     """Beamform the echo tensor and divide out the transmit symbols.
 
     snapshots: (PQ, N_c, M_s); returns the (N_c, M_s) per-beam channel
-    estimate H_bar.
+    estimate H_bar.  The pipeline reads the beam through
+    `EchoRealization.beamform`; this whole-tensor form is kept as the
+    reference it is tested against, and is not exported by the package.
     """
     if np.any(symbols == 0):
         raise ValueError("cannot erase zero-valued symbols")
@@ -213,8 +217,7 @@ def _ramp_grid_spectrum(signal_basis: np.ndarray, n_grid: int,
 
 
 def _line_spectrum_music(snapshots: np.ndarray, n_grid: int, sign: int,
-                         step: float, ramp_derivs, epsilon: float,
-                         n_sources: int | None):
+                         step: float, ramp_derivs, n_sources: int | None):
     """Line-spectrum MUSIC for a phase ramp down the rows of `snapshots`.
 
     The ramp has period n_grid * step in its parameter x, with sign and
@@ -223,7 +226,7 @@ def _line_spectrum_music(snapshots: np.ndarray, n_grid: int, sign: int,
     grid peaks is refined by Newton on the noise-subspace objective
     ||U_n^H a(x)||^2.  Returns (estimates, decomposition).
     """
-    dec = decompose_snapshots(snapshots, epsilon=epsilon, n_sources=n_sources)
+    dec = decompose_snapshots(snapshots, n_sources=n_sources)
     spec = _ramp_grid_spectrum(dec.signal_basis, n_grid, sign)
     idx = _peaks_1d(spec, dec.source_count)
     un = dec.noise_basis
@@ -255,8 +258,7 @@ def _wrap_estimate(est: SpectrumEstimate, period: float) -> SpectrumEstimate:
 
 
 def music_range(h_bar: np.ndarray, wave: WaveformConfig,
-                c: float = SPEED_OF_LIGHT, epsilon: float = 1.0,
-                n_sources: int | None = None):
+                c: float = SPEED_OF_LIGHT, n_sources: int | None = None):
     """Round-trip range estimates from a per-beam channel matrix.
 
     The ramp runs across subcarriers; the coarse grid steps half an FFT
@@ -265,11 +267,11 @@ def music_range(h_bar: np.ndarray, wave: WaveformConfig,
     nc, df = wave.n_subcarriers, wave.subcarrier_spacing
     return _line_spectrum_music(
         h_bar, 4 * nc, -1, c / (4.0 * wave.bandwidth),
-        lambda r: range_steering_derivs(nc, df, r, c), epsilon, n_sources)
+        lambda r: range_steering_derivs(nc, df, r, c), n_sources)
 
 
 def music_doppler(h_bar: np.ndarray, wave: WaveformConfig,
-                  epsilon: float = 1.0, n_sources: int | None = None):
+                  n_sources: int | None = None):
     """Doppler-frequency estimates from a per-beam channel matrix.
 
     The ramp runs across OFDM symbols; the coarse grid steps half an FFT
@@ -278,46 +280,34 @@ def music_doppler(h_bar: np.ndarray, wave: WaveformConfig,
     ms, t = wave.n_symbols, wave.symbol_duration
     return _line_spectrum_music(
         h_bar.T, 2 * ms, 1, 1.0 / (2.0 * ms * t),
-        lambda f: doppler_steering_derivs(ms, t, f), epsilon, n_sources)
+        lambda f: doppler_steering_derivs(ms, t, f), n_sources)
 
 
-def _grid_spectrum(snapshots: np.ndarray, steering_grid,
-                   n_sources: int | None, window: int | None) -> np.ndarray:
-    """MUSIC pseudo-spectrum of the rows of `snapshots` at the steering
-    vectors steering_grid(dim) returns, shape (dim, n_points)."""
-    if window is None:
-        dec = decompose_snapshots(snapshots, n_sources=n_sources)
-    else:
-        dec = decompose(smoothed_covariance(snapshots, window),
-                        n_sources=n_sources)
-    dim = dec.signal_basis.shape[0]
-    a_grid = steering_grid(dim)
-    f = dim - np.sum(np.abs(dec.signal_basis.conj().T @ a_grid) ** 2, axis=0)
-    return 1.0 / np.maximum(f, 1e-300)
+def _smoothed_ramp_spectrum(rows: np.ndarray, n_grid: int,
+                            sign: int) -> np.ndarray:
+    """One-source pseudo-spectrum of a phase ramp down `rows` on n_grid
+    points, from the half-aperture forward-backward smoothed covariance,
+    which keeps the subspace usable at deep-negative SINR at the cost of
+    a wider main lobe."""
+    dec = decompose(smoothed_covariance(rows, rows.shape[0] // 2),
+                    n_sources=1)
+    return _ramp_grid_spectrum(dec.signal_basis, n_grid, sign)
 
 
 def range_spectrum(h_bar: np.ndarray, wave: WaveformConfig,
-                   grid: np.ndarray, c: float = SPEED_OF_LIGHT,
-                   n_sources: int | None = None,
-                   window: int | None = None) -> np.ndarray:
-    """MUSIC range pseudo-spectrum sampled on an arbitrary grid.
-
-    window selects a subaperture-smoothed forward-backward covariance
-    instead of the plain one; robust at very low SINR at the cost of a
-    wider main lobe.
-    """
-    return _grid_spectrum(
-        h_bar, lambda dim: range_steering_grid(dim, wave.subcarrier_spacing,
-                                               grid, c),
-        n_sources, window)
+                   c: float = SPEED_OF_LIGHT):
+    """(round-trip range grid, MUSIC pseudo-spectrum) over the unambiguous
+    range c / df, sampled at SPECTRUM_OVERSAMPLE * N_c points."""
+    grid = np.arange(0.0, c / wave.subcarrier_spacing,
+                     c / (SPECTRUM_OVERSAMPLE * wave.bandwidth))
+    return grid, _smoothed_ramp_spectrum(
+        h_bar, SPECTRUM_OVERSAMPLE * wave.n_subcarriers, -1)
 
 
-def doppler_spectrum(h_bar: np.ndarray, wave: WaveformConfig,
-                     grid: np.ndarray,
-                     n_sources: int | None = None,
-                     window: int | None = None) -> np.ndarray:
-    """MUSIC Doppler pseudo-spectrum sampled on an arbitrary grid."""
-    return _grid_spectrum(
-        h_bar.T, lambda dim: doppler_steering_grid(dim, wave.symbol_duration,
-                                                   grid),
-        n_sources, window)
+def doppler_spectrum(h_bar: np.ndarray, wave: WaveformConfig):
+    """(Doppler grid, MUSIC pseudo-spectrum) over the unambiguous interval
+    [0, 1/T), sampled at SPECTRUM_OVERSAMPLE * M_s points."""
+    f_max = 1.0 / wave.symbol_duration
+    grid = np.arange(0.0, f_max, f_max / (SPECTRUM_OVERSAMPLE * wave.n_symbols))
+    return grid, _smoothed_ramp_spectrum(
+        h_bar.T, SPECTRUM_OVERSAMPLE * wave.n_symbols, 1)

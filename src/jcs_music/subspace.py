@@ -36,15 +36,14 @@ def covariance(snapshots: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
-def smoothed_covariance(snapshots: np.ndarray, window: int,
-                        forward_backward: bool = True) -> np.ndarray:
-    """Subaperture-averaged sample covariance for phase-ramp models.
+def smoothed_covariance(snapshots: np.ndarray, window: int) -> np.ndarray:
+    """Forward-backward subaperture-averaged sample covariance for
+    phase-ramp models.
 
-    Slides a length-`window` subaperture down the rows and pools every
-    (subaperture, column) pair as a snapshot, optionally adding the
-    forward-backward conjugate-flip average.  Trades aperture for snapshot
-    count; useful when the plain covariance is snapshot-starved at very
-    low SINR.
+    Slides a length-`window` subaperture down the rows, pools every
+    (subaperture, column) pair as a snapshot, and averages the result with
+    its conjugate flip J R* J.  Trades aperture for snapshot count; useful
+    when the plain covariance is snapshot-starved at very low SINR.
     """
     y = _matrix(snapshots)
     n = y.shape[0]
@@ -54,8 +53,7 @@ def smoothed_covariance(snapshots: np.ndarray, window: int,
     sub = np.lib.stride_tricks.sliding_window_view(y, window, axis=0)
     xs = sub.transpose(2, 0, 1).reshape(window, -1)
     r = xs @ xs.conj().T / xs.shape[1]
-    if forward_backward:
-        r = 0.5 * (r + r[::-1, ::-1].conj())
+    r = 0.5 * (r + r[::-1, ::-1].conj())
     return 0.5 * (r + r.conj().T)
 
 
@@ -99,14 +97,13 @@ def detect_source_count(eigenvalues: np.ndarray, epsilon: float = 1.0,
     return SourceCount(count=max(count, 1), fallback=fallback)
 
 
-def _split(w: np.ndarray, u: np.ndarray, epsilon: float,
-           max_rank: int | None,
+def _split(w: np.ndarray, u: np.ndarray, max_rank: int | None,
            n_sources: int | None) -> SubspaceDecomposition:
     """Signal/noise split of descending eigenvalues w with eigenvectors
     u, as `decompose` documents it."""
     dim = u.shape[0]
     if n_sources is None:
-        sc = detect_source_count(w, epsilon=epsilon, max_rank=max_rank)
+        sc = detect_source_count(w, max_rank=max_rank)
         count, fallback = sc.count, sc.fallback
     elif 1 <= n_sources < dim:
         count, fallback = int(n_sources), False
@@ -119,8 +116,7 @@ def _split(w: np.ndarray, u: np.ndarray, epsilon: float,
                                  fallback=fallback)
 
 
-def decompose(cov: np.ndarray, epsilon: float = 1.0,
-              max_rank: int | None = None,
+def decompose(cov: np.ndarray, max_rank: int | None = None,
               n_sources: int | None = None) -> SubspaceDecomposition:
     """Eigendecompose a covariance and split signal/noise subspaces.
 
@@ -130,10 +126,10 @@ def decompose(cov: np.ndarray, epsilon: float = 1.0,
     """
     w, u = np.linalg.eigh(cov)
     order = np.argsort(w)[::-1]
-    return _split(w[order], u[:, order], epsilon, max_rank, n_sources)
+    return _split(w[order], u[:, order], max_rank, n_sources)
 
 
-def decompose_snapshots(snapshots: np.ndarray, epsilon: float = 1.0,
+def decompose_snapshots(snapshots: np.ndarray,
                         n_sources: int | None = None) -> SubspaceDecomposition:
     """`decompose` of covariance(snapshots) with max_rank = min(shape).
 
@@ -147,9 +143,8 @@ def decompose_snapshots(snapshots: np.ndarray, epsilon: float = 1.0,
     y = _matrix(snapshots)
     dim, n_snap = y.shape
     if dim <= n_snap:
-        return decompose(covariance(y), epsilon=epsilon, max_rank=dim,
-                         n_sources=n_sources)
+        return decompose(covariance(y), max_rank=dim, n_sources=n_sources)
     u, s, _ = np.linalg.svd(y)
     w = np.zeros(dim)
     w[:n_snap] = s ** 2 / n_snap
-    return _split(w, u, epsilon, n_snap, n_sources)
+    return _split(w, u, n_snap, n_sources)

@@ -356,14 +356,19 @@ def test_unplaceable_scatterers_name_the_count(tmp_path, capsys):
         with pytest.raises(ValueError,
                            match=rf"n_scatterers={n}: must be in \[0, 8\]"):
             generate_scenario(0, n_scatterers=n)
-    rc = cli.main(["spectrum", "--scatterers", "40", "--out",
-                   str(tmp_path / "spec")])
-    assert rc == 1
-    assert "n_scatterers" in capsys.readouterr().err
-    rc = cli.main(["spectrum", "--scatterers", "-3", "--out",
-                   str(tmp_path / "spec")])
-    assert rc == 1
-    assert "n_scatterers=-3" in capsys.readouterr().err
+    # the CLI flag and a config file are checked as the config key, before
+    # anything runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"n_scatterers": 9}}))
+    out = tmp_path / "spec"
+    for argv, got in ((["--scatterers", "40"], "got 40"),
+                      (["--scatterers", "-3"], "got -3"),
+                      (["--config", str(cfg)], "got 9")):
+        rc = cli.main(["spectrum", *argv, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "scenario.n_scatterers" in err and got in err, err
+    assert not out.exists()
 
 
 def test_config_invalid_json(tmp_path):

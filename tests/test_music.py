@@ -4,17 +4,20 @@ and invariances of the pseudo-spectrum."""
 import numpy as np
 import pytest
 
-from jcs_music import channel, music
+from jcs_music import bind, channel, harness, load_config, music
 from jcs_music.channel import NoiseConfig, WaveformConfig
+from jcs_music.fft_baseline import pslr_db
 from jcs_music.music import (NEWTON_MAX_ITER, NEWTON_TOL, SpectrumEstimate,
                              _newton_step, _peaks_1d, _ramp_grid_spectrum,
                              beamform_and_erase, doppler_spectrum, music_aoa,
                              music_doppler, music_range, newton_refine_1d,
                              range_spectrum)
 from jcs_music.scenario import generate_scenario
-from jcs_music.steering import (ArrayConfig, doppler_steering, range_steering,
-                                spatial_steering)
-from jcs_music.subspace import covariance, decompose
+from jcs_music.steering import (ArrayConfig, doppler_steering,
+                                doppler_steering_grid, range_steering,
+                                range_steering_grid, spatial_steering)
+from jcs_music.subspace import (covariance, decompose, decompose_snapshots,
+                                smoothed_covariance)
 
 C = 299792458.0
 
@@ -274,6 +277,40 @@ def test_peaks_wrap_is_one_peak():
     np.testing.assert_array_equal(_peaks_1d(spec[::-1], 2), [6])
 
 
+# -- pseudo-spectra against the steering-matrix oracle -------------------
+
+def _steering_spectrum(snapshots, steering_grid, n_sources=None,
+                       window=None):
+    """The arbitrary-grid pseudo-spectrum the package computed before its
+    spectra moved onto the estimators' DFT grid: MUSIC on the rows of
+    `snapshots` at the steering vectors steering_grid(dim) returns, shape
+    (dim, n_points).  window selects the forward-backward subaperture-
+    smoothed covariance instead of the plain one."""
+    if window is None:
+        dec = decompose_snapshots(snapshots, n_sources=n_sources)
+    else:
+        dec = decompose(smoothed_covariance(snapshots, window),
+                        n_sources=n_sources)
+    dim = dec.signal_basis.shape[0]
+    a_grid = steering_grid(dim)
+    f = dim - np.sum(np.abs(dec.signal_basis.conj().T @ a_grid) ** 2, axis=0)
+    return 1.0 / np.maximum(f, 1e-300)
+
+
+def _range_oracle(h_bar, wave, grid, c=C, n_sources=None, window=None):
+    return _steering_spectrum(
+        h_bar, lambda dim: range_steering_grid(dim, wave.subcarrier_spacing,
+                                               grid, c),
+        n_sources, window)
+
+
+def _doppler_oracle(h_bar, wave, grid, n_sources=None, window=None):
+    return _steering_spectrum(
+        h_bar.T, lambda dim: doppler_steering_grid(dim, wave.symbol_duration,
+                                                   grid),
+        n_sources, window)
+
+
 @pytest.mark.parametrize("wave", [WaveformConfig(),
                                   WaveformConfig(n_subcarriers=64,
                                                  n_symbols=32)],
@@ -303,11 +340,25 @@ def test_fft_coarse_grid_matches_steering_spectrum(wave, rng):
     us_f = decompose(covariance(h_bar.T),
                      max_rank=min(h_bar.shape)).signal_basis
     np.testing.assert_allclose(_ramp_grid_spectrum(us_r, 4 * nc, -1),
-                               range_spectrum(h_bar, wave, r_grid, c=C),
+                               _range_oracle(h_bar, wave, r_grid),
                                rtol=1e-12)
     np.testing.assert_allclose(_ramp_grid_spectrum(us_f, 2 * ms, 1),
-                               doppler_spectrum(h_bar, wave, f_grid),
+                               _doppler_oracle(h_bar, wave, f_grid),
                                rtol=1e-12)
+
+    # the plotted spectra: one source on 16x finer grids of the same
+    # period, from the half-aperture smoothed covariance
+    r_fine, s_r = range_spectrum(h_bar, wave, c=C)
+    f_fine, s_f = doppler_spectrum(h_bar, wave)
+    np.testing.assert_array_equal(r_fine, np.arange(16 * nc) * (r_step / 4))
+    np.testing.assert_array_equal(f_fine, np.arange(16 * ms) * (f_step / 8))
+    np.testing.assert_allclose(
+        s_r, _range_oracle(h_bar, wave, r_fine, n_sources=1, window=nc // 2),
+        rtol=1e-10)
+    np.testing.assert_allclose(
+        s_f, _doppler_oracle(h_bar, wave, f_fine, n_sources=1,
+                             window=ms // 2),
+        rtol=1e-10)
 
 
 # -- end-to-end noiseless estimates -------------------------------------
@@ -333,10 +384,13 @@ def test_noiseless_range_matches_dense_grid_oracle(wave, array, noise):
 
     # independent dense-grid oracle at 1 mm spacing around the truth
     grid = np.arange(r_true - 2.0, r_true + 2.0, 1e-3)
-    spec = range_spectrum(h_bar, wave, grid, c=C, n_sources=1)
+    spec = _range_oracle(h_bar, wave, grid, n_sources=1)
     r_oracle = float(grid[np.argmax(spec)])
     assert abs(r_hat - r_oracle) < 1e-3
     assert abs(r_hat - r_true) < 1e-3
+    # the plotted spectrum peaks at the grid point nearest the truth
+    r_grid, spec = range_spectrum(h_bar, wave, c=C)
+    assert abs(r_grid[np.argmax(spec)] - r_true) <= 0.5 * r_grid[1] + 1e-9
 
 
 def test_noiseless_doppler_matches_truth(wave, array, noise):
@@ -402,12 +456,15 @@ def test_pseudo_spectrum_peaks_at_truth(wave, array, noise):
     h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
     r_true = 2.0 * scen.mue_path.d1
     grid = np.linspace(r_true - 50.0, r_true + 50.0, 2001)
-    spec = range_spectrum(h_bar, wave, grid, c=C, n_sources=1)
+    spec = _range_oracle(h_bar, wave, grid, n_sources=1)
     assert abs(grid[np.argmax(spec)] - r_true) < 0.1
     # smoothed variant peaks at the same place
-    spec_s = range_spectrum(h_bar, wave, grid, c=C, n_sources=1,
-                            window=wave.n_subcarriers // 2)
+    spec_s = _range_oracle(h_bar, wave, grid, n_sources=1,
+                           window=wave.n_subcarriers // 2)
     assert abs(grid[np.argmax(spec_s)] - r_true) < 0.1
+    # and so does the plotted one, to within half its grid step
+    r_grid, spec = range_spectrum(h_bar, wave, c=C)
+    assert abs(r_grid[np.argmax(spec)] - r_true) <= 0.5 * r_grid[1] + 1e-9
 
 
 def test_doppler_spectrum_window_variant(wave, array, noise):
@@ -417,10 +474,14 @@ def test_doppler_spectrum_window_variant(wave, array, noise):
     f_true = 2.0 * scen.mue_path.v1 / wave.wavelength(C)
     f_span = 1.0 / wave.symbol_duration
     grid = np.linspace(0.0, f_span, 4096, endpoint=False)
-    spec = doppler_spectrum(h_bar, wave, grid, n_sources=1,
-                            window=wave.n_symbols // 2)
+    spec = _doppler_oracle(h_bar, wave, grid, n_sources=1,
+                           window=wave.n_symbols // 2)
     df = abs(grid[np.argmax(spec)] - f_true % f_span)
     assert min(df, f_span - df) < 2.0 * f_span / 4096
+    # the plotted spectrum peaks at the grid point nearest the truth
+    f_grid, spec = doppler_spectrum(h_bar, wave)
+    df = abs(f_grid[np.argmax(spec)] - f_true % f_span)
+    assert min(df, f_span - df) <= 0.5 * f_grid[1] + 1e-9
 
 
 def test_estimate_fields_populated(wave, array, noise):
@@ -432,3 +493,39 @@ def test_estimate_fields_populated(wave, array, noise):
     assert est.objective >= 0.0
     assert est.spectrum > 0.0
     assert est.iterations >= 1
+
+
+@pytest.mark.parametrize("legacy_c", [False, True], ids=["exact_c", "legacy_c"])
+def test_spectrum_snapshot_matches_steering_oracle(legacy_c, monkeypatch):
+    """The snapshot's MUSIC spectra and PSLRs are the smoothed one-source
+    steering-matrix spectra on grids of exactly 16*N_c and 16*M_s points."""
+    ctx = bind(load_config(), legacy_c=legacy_c)
+    seen = {}
+
+    def spy(name):
+        fn = getattr(music, name)
+
+        def wrapped(h_bar, *args, **kwargs):
+            seen[name] = (h_bar, fn(h_bar, *args, **kwargs))
+            return seen[name][1]
+        return wrapped
+
+    for name in ("range_spectrum", "doppler_spectrum"):
+        monkeypatch.setattr(music, name, spy(name))
+    snap = harness.spectrum_snapshot(ctx, sinr_db=-20.0)
+
+    wave = ctx.wave
+    nc, ms = wave.n_subcarriers, wave.n_symbols
+    h_bar, (r_grid, _) = seen["range_spectrum"]
+    _, (f_grid, _) = seen["doppler_spectrum"]
+    assert len(r_grid) == 16 * nc and len(f_grid) == 16 * ms
+    np.testing.assert_array_equal(snap["range_grid_m"], r_grid / 2.0)
+    want_r = _range_oracle(h_bar, wave, r_grid, c=ctx.c, n_sources=1,
+                           window=nc // 2)
+    want_f = _doppler_oracle(h_bar, wave, f_grid, n_sources=1,
+                             window=ms // 2)
+    for key, want in (("range", want_r), ("velocity", want_f)):
+        np.testing.assert_allclose(snap[f"music_{key}_spectrum"],
+                                   want / want.max(), rtol=1e-10)
+        assert snap[f"music_{key}_pslr_db"] == pytest.approx(pslr_db(want),
+                                                             rel=1e-10)

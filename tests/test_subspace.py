@@ -193,8 +193,8 @@ def test_decompose_snapshots_matches_covariance_eigh(shape, rng):
 def test_decompose_snapshots_wide_is_the_covariance_eigh(shape, rng):
     """A wide or square matrix takes exactly the covariance eigh path."""
     y = _ramps_in_noise(rng, *shape)
-    dec = decompose_snapshots(y, epsilon=0.5)
-    ref = decompose(covariance(y), epsilon=0.5, max_rank=min(shape))
+    dec = decompose_snapshots(y)
+    ref = decompose(covariance(y), max_rank=min(shape))
     assert (dec.source_count, dec.fallback) == (ref.source_count,
                                                 ref.fallback)
     np.testing.assert_array_equal(dec.eigenvalues, ref.eigenvalues)
@@ -213,9 +213,13 @@ def test_decompose_snapshots_rejects_bad_input():
 # -- subaperture smoothing ----------------------------------------------
 
 def test_smoothed_full_window_matches_plain(rng):
+    """At full aperture the smoothing is only the forward-backward average
+    of the plain covariance, 0.5 (R + J conj(R) J)."""
     y = rng.normal(size=(6, 30)) + 1j * rng.normal(size=(6, 30))
-    r = smoothed_covariance(y, window=6, forward_backward=False)
-    np.testing.assert_allclose(r, covariance(y), atol=1e-13)
+    r = smoothed_covariance(y, window=6)
+    plain = covariance(y)
+    np.testing.assert_allclose(r, 0.5 * (plain + plain[::-1, ::-1].conj()),
+                               atol=1e-13)
 
 
 def test_smoothed_is_hermitian_psd(rng):
