@@ -71,6 +71,12 @@ class NoiseConfig:
     def total_comm_var(self) -> float:
         return self.noise_var + self.interference_power_comm
 
+    @property
+    def echo_noise_std(self) -> float:
+        """Standard deviation of each real and imaginary part of the echo
+        noise."""
+        return np.sqrt(self.total_sense_var / 2.0)
+
 
 @dataclass(frozen=True)
 class Beamformers:
@@ -282,13 +288,22 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
 
     z = None
     if not noiseless:
-        # the stream and the values of std * (normal + 1j * normal): real
-        # parts first, then imaginary parts
-        z = rng.standard_normal((2, tx_array.size, nc, ms))
-        z *= np.sqrt(noise.total_sense_var / 2.0)
+        z = _fill_echo_noise(rng, np.empty((2, tx_array.size, nc, ms)),
+                             noise.echo_noise_std)
     return EchoRealization(steering=steering, factors=factors, noise_draw=z,
                            symbols=symbols, labels=labels,
                            reflections=reflections)
+
+
+def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,
+                     std: float) -> np.ndarray:
+    """Draw the (2, PQ, N_c, M_s) echo noise planes into `out`: the
+    stream and the values of std * (normal + 1j * normal), real parts
+    first, then imaginary parts.  It calls numpy only, so the harness runs
+    it on a worker thread."""
+    rng.standard_normal(out=out)
+    out *= std
+    return out
 
 
 @dataclass(frozen=True)

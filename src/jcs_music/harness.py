@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -143,20 +145,25 @@ def _scene(ctx: RunContext, scen_seed: int, **overrides) -> Scenario:
     return generate_scenario(scen_seed, **kwargs)
 
 
-def _beam_range(ctx: RunContext, wave: channel.WaveformConfig,
-                echo: channel.EchoRealization, angle: Angle2D):
-    """Range step of the per-beam chain: steer the receive beam at
-    `angle`, erase the symbols, and pick the MUSIC range the FFT anchor
-    associates.  Returns (h_bar, FFT result, round-trip range, range
-    source count)."""
+def _beam_output(ctx: RunContext, echo: channel.EchoRealization,
+                 angle: Angle2D) -> np.ndarray:
+    """Per-beam matrix h_bar: the echo through the receive beam steered at
+    `angle`, with the symbols erased."""
     w = channel.sense_rx_beamformer(ctx.array, angle)
-    h_bar = echo.beamform(w) / echo.symbols
+    return echo.beamform(w) / echo.symbols
+
+
+def _beam_range(ctx: RunContext, wave: channel.WaveformConfig,
+                h_bar: np.ndarray):
+    """Range step of the per-beam chain: the MUSIC range of h_bar the FFT
+    anchor associates.  Returns (FFT result, round-trip range, range
+    source count)."""
     per = fft_baseline.fft_range_doppler(h_bar, wave, c=ctx.c)
     r_ests, dec_r = music_range(h_bar, wave, c=ctx.c)
     r_rt = float(_nearest_estimate(r_ests, per.range_rt,
                                    period=ctx.c / wave.subcarrier_spacing,
                                    tol=0.6 * per.range_bin_width).value)
-    return h_bar, per, r_rt, dec_r.source_count
+    return per, r_rt, dec_r.source_count
 
 
 def _beam_doppler(h_bar: np.ndarray, wave: channel.WaveformConfig,
@@ -176,42 +183,182 @@ def _local_location(d: float, az: float, el: float) -> np.ndarray:
                          np.cos(el)])
 
 
-def sensing_trial(ctx: RunContext, sinr_db: float, scen_seed: int,
-                  rng: np.random.Generator,
-                  use_true_beam: bool = False) -> dict:
-    """One end-to-end sensing trial; per-metric squared errors for the
-    direct path, for both the subspace and the on-grid estimators."""
-    scenario = _scene(ctx, scen_seed)
-    beams = channel.build_beamformers(scenario, ctx.array)
-    return _sense_frame(ctx, scenario, beams, sinr_db, rng, use_true_beam)
+# A trial is drawn, then estimated.  The draw is a generator function that
+# makes every generator call of the trial in order: it yields the trial's
+# generator where the echo noise is drawn, is sent the filled noise planes
+# (channel._fill_echo_noise) and returns the drawn trial.  A fixed-beam
+# draw reduces the planes to the beam output before it returns, so the
+# planes' buffer can be refilled while the trial is estimated; an
+# estimated-beam draw keeps the whole echo, planes included.  The estimate
+# makes no random draw.
+
+@dataclass(frozen=True)
+class SensingDraw:
+    """The random part of one sensing trial: the scene, the calibrated
+    waveform and what the receiver observes.  With the true beam that is
+    the per-beam matrix h_bar and `echo` is None; with an estimated beam it
+    is the whole echo, from which the beam is estimated, and `h_bar` is
+    None."""
+
+    scenario: Scenario
+    wave: channel.WaveformConfig
+    echo: channel.EchoRealization | None
+    h_bar: np.ndarray | None
 
 
-def _sense_frame(ctx: RunContext, scenario: Scenario,
-                 beams: channel.Beamformers, sinr_db: float,
-                 rng: np.random.Generator, use_true_beam: bool) -> dict:
-    """Per-frame chain of a sensing trial on a set-up scene: calibrate
-    the power, synthesize the echo, aim the beam (MUSIC AoA or the true
-    AoA), then the range and Doppler steps."""
-    cfg = ctx.config["scenario"]
+@dataclass(frozen=True)
+class BerDraw:
+    """The random part of one CSI-enhancement trial: the waveform, the
+    preamble frame, the sensing frame's h_bar through the beam aimed at
+    the user, and the data frame over the same channel realization."""
+
+    wave: channel.WaveformConfig
+    preamble: channel.CommRealization
+    h_bar: np.ndarray
+    data: channel.CommRealization
+
+
+def _frame_draw(ctx: RunContext, scenario: Scenario,
+                beams: channel.Beamformers, sinr_db: float,
+                rng: np.random.Generator, use_true_beam: bool):
+    """Draw of one sensing frame on a set-up scene: calibrated power and
+    the echo."""
     p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
                                          sinr_db, ctx.c)
     wave = ctx.wave.with_power(p_tx)
     echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
-                                   rng, fading=cfg["fading"], c=ctx.c)
-    truth = scenario.mue_path
+                                   rng, fading=ctx.config["scenario"]["fading"],
+                                   c=ctx.c, noiseless=True)
+    echo = replace(echo, noise_draw=(yield rng))
+    if use_true_beam:
+        return SensingDraw(scenario, wave, None,
+                           _beam_output(ctx, echo, scenario.mue_path.aoa))
+    return SensingDraw(scenario, wave, echo, None)
+
+
+def _sensing_draw(ctx: RunContext, sinr_db: float, scen_seed: int,
+                  rng: np.random.Generator, use_true_beam: bool):
+    """Draw of one sensing trial: its scene, then one frame."""
+    scenario = _scene(ctx, scen_seed)
+    beams = channel.build_beamformers(scenario, ctx.array)
+    return (yield from _frame_draw(ctx, scenario, beams, sinr_db, rng,
+                                   use_true_beam))
+
+
+def _ber_draw(ctx: RunContext, csinr_db: float, scen_seed: int,
+              rng: np.random.Generator, mue_x: float, qam_order: int):
+    """Draw of one CSI-enhancement trial: its scene, then the preamble,
+    sensing and data frames over one channel realization."""
+    cfg = ctx.config["scenario"]
+    scenario = _scene(ctx, scen_seed, mue_x=mue_x)
+    beams = channel.build_beamformers(scenario, ctx.array)
+    p_tx = channel.calibrate_power_comm(scenario, ctx.wave, beams, ctx.noise,
+                                        csinr_db, ctx.c)
+    wave = replace(ctx.wave, tx_power=p_tx, qam_order=qam_order)
+    refl = channel.draw_reflections(scenario, rng, cfg["fading"])
+    pre = qam.preamble(wave.n_subcarriers, wave.n_symbols)
+    comm_pre = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
+                                       symbols=pre, reflections=refl, c=ctx.c)
+    echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
+                                   rng, reflections=refl, fading=cfg["fading"],
+                                   c=ctx.c, noiseless=True)
+    echo = replace(echo, noise_draw=(yield rng))
+    h_bar = _beam_output(ctx, echo, scenario.mue_path.aoa)
+    comm_data = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
+                                        reflections=refl, c=ctx.c)
+    return BerDraw(wave, comm_pre, h_bar, comm_data)
+
+
+def _noise_planes(ctx: RunContext) -> np.ndarray:
+    """Uninitialised (2, PQ, N_c, M_s) echo noise planes."""
+    return np.empty((2, ctx.array.size, ctx.wave.n_subcarriers,
+                     ctx.wave.n_symbols))
+
+
+def _finish(draw, planes: np.ndarray):
+    """Send a started draw its filled noise planes; the drawn trial."""
+    try:
+        draw.send(planes)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a trial draw yields once, for its echo noise")
+
+
+def _draw_here(ctx: RunContext, draw):
+    """Run a draw to the end on this thread."""
+    rng = next(draw)
+    return _finish(draw, channel._fill_echo_noise(rng, _noise_planes(ctx),
+                                                  ctx.noise.echo_noise_std))
+
+
+def _estimate_each(ctx: RunContext, draws, estimate, buffers: int = 1) -> list:
+    """estimate(ctx, drawn) for each draw in turn, on this thread, while
+    one worker thread fills the echo noise planes.
+
+    Each trial owns its generator.  While the worker fills trial k's
+    planes, this thread runs trial k + 1's draw up to its noise; it then
+    finishes trial k's draw and estimates it while the worker fills trial
+    k + 1's planes.  It never touches the generator of a fill in flight,
+    so every value is the one drawn inline.  A fill never writes planes a
+    trial still reads: with one buffer (draws that consume their planes,
+    the fixed beams) trial k + 1's fill starts once trial k is drawn; with
+    two (draws that keep them, the estimated-beam echo) it starts at once,
+    in the buffer trial k - 1 used.
+    """
+    draws = iter(draws)
+    planes = itertools.cycle([_noise_planes(ctx) for _ in range(buffers)])
+    std = ctx.noise.echo_noise_std
+    out: list = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        def fill(rng):
+            return worker.submit(channel._fill_echo_noise, rng, next(planes),
+                                 std)
+
+        draw = next(draws, None)
+        filling = fill(next(draw)) if draw is not None else None
+        while draw is not None:
+            nxt, nxt_filling = next(draws, None), None
+            if nxt is not None:
+                rng = next(nxt)
+                if buffers > 1:
+                    nxt_filling = fill(rng)
+            drawn = _finish(draw, filling.result())
+            if nxt is not None and buffers == 1:
+                nxt_filling = fill(rng)
+            out.append(estimate(ctx, drawn))
+            del drawn   # freed before trial k + 2 is drawn
+            draw, filling = nxt, nxt_filling
+    return out
+
+
+def draw_sensing_trial(ctx: RunContext, sinr_db: float, scen_seed: int,
+                       rng: np.random.Generator,
+                       use_true_beam: bool = False) -> SensingDraw:
+    """Every random draw of one sensing trial, for `sensing_trial`."""
+    return _draw_here(ctx, _sensing_draw(ctx, sinr_db, scen_seed, rng,
+                                         use_true_beam))
+
+
+def sensing_trial(ctx: RunContext, draw: SensingDraw) -> dict:
+    """Estimates of one sensing trial (MUSIC AoA or the true beam, then
+    the range and Doppler steps); per-metric squared errors for the
+    direct path, for both the subspace and the on-grid estimators."""
+    truth = draw.scenario.mue_path
+    wave = draw.wave
     lam = wave.wavelength(ctx.c)
 
-    if use_true_beam:
-        beam_angle = truth.aoa
+    if draw.echo is None:
+        beam_angle, h_bar = truth.aoa, draw.h_bar
         az_err = el_err = 0.0
     else:
-        ests, _ = music_aoa(echo.snapshots, ctx.array)
+        ests, _ = music_aoa(draw.echo.snapshots, ctx.array)
         est = _nearest_aoa(ests, truth.aoa)
         beam_angle = Angle2D(float(est.value[0]), float(est.value[1]))
         az_err = _wrap_angle(beam_angle.azimuth - truth.aoa.azimuth)
         el_err = beam_angle.elevation - truth.aoa.elevation
+        h_bar = _beam_output(ctx, draw.echo, beam_angle)
 
-    h_bar, per, r_hat, n_src = _beam_range(ctx, wave, echo, beam_angle)
+    per, r_hat, n_src = _beam_range(ctx, wave, h_bar)
     d_hat = r_hat / 2.0
     f_hat = _beam_doppler(h_bar, wave, per, n_src)
     v_hat = lam * f_hat / 2.0
@@ -256,12 +403,15 @@ def run_sweep_mse(ctx: RunContext, sinr_grid=None, trials: int | None = None,
     sweep = ctx.config["sweep"]
     grid = list(sweep["sinr_grid_db"]) if sinr_grid is None else list(sinr_grid)
     n = int(sweep["trials"]) if trials is None else int(trials)
+    draws = (_sensing_draw(ctx, sinr, *trial_rng(master_seed, pi, t),
+                           use_true_beam)
+             for pi, sinr in enumerate(grid) for t in range(n))
+    results = _estimate_each(ctx, draws, sensing_trial,
+                             buffers=1 if use_true_beam else 2)
     rows: list[ResultRow] = []
     for pi, sinr in enumerate(grid):
         acc: dict = {}
-        for t in range(n):
-            scen_seed, rng = trial_rng(master_seed, pi, t)
-            res = sensing_trial(ctx, sinr, scen_seed, rng, use_true_beam)
+        for res in results[pi * n:(pi + 1) * n]:
             for metric, smap in res.items():
                 for series, val in smap.items():
                     acc.setdefault(metric, {}).setdefault(series, []).append(val)
@@ -269,36 +419,24 @@ def run_sweep_mse(ctx: RunContext, sinr_grid=None, trials: int | None = None,
     return ResultTable(rows)
 
 
-def ber_trial(ctx: RunContext, csinr_db: float, scen_seed: int,
-              rng: np.random.Generator, mue_x: float = 75.0,
-              qam_order: int = 64) -> dict:
-    """One CSI-enhancement trial: BER for cases A (perfect CSI), B (raw
-    LS), C (delay from subspace range estimate), D (delay from FFT bin)."""
-    cfg = ctx.config["scenario"]
-    scenario = _scene(ctx, scen_seed, mue_x=mue_x)
-    beams = channel.build_beamformers(scenario, ctx.array)
-    p_tx = channel.calibrate_power_comm(scenario, ctx.wave, beams, ctx.noise,
-                                        csinr_db, ctx.c)
-    wave = replace(ctx.wave, tx_power=p_tx, qam_order=qam_order)
-    refl = channel.draw_reflections(scenario, rng, cfg["fading"])
+def draw_ber_trial(ctx: RunContext, csinr_db: float, scen_seed: int,
+                   rng: np.random.Generator, mue_x: float = 75.0,
+                   qam_order: int = 64) -> BerDraw:
+    """Every random draw of one CSI-enhancement trial, for `ber_trial`."""
+    return _draw_here(ctx, _ber_draw(ctx, csinr_db, scen_seed, rng, mue_x,
+                                     qam_order))
 
-    # preamble frame: LS CSI
-    pre = qam.preamble(wave.n_subcarriers, wave.n_symbols)
-    comm_pre = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
-                                       symbols=pre, reflections=refl, c=ctx.c)
-    h_ls = csi.ls_csi(comm_pre.samples, pre, wave.tx_power)
 
-    # sensing frame: range estimate through the aligned beam
-    echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
-                                   rng, reflections=refl,
-                                   fading=cfg["fading"], c=ctx.c)
-    _, per, r_rt, _ = _beam_range(ctx, wave, echo, scenario.mue_path.aoa)
+def ber_trial(ctx: RunContext, draw: BerDraw) -> dict:
+    """Estimates of one CSI-enhancement trial: BER for cases A (perfect
+    CSI), B (raw LS), C (delay from subspace range estimate), D (delay
+    from FFT bin)."""
+    wave, comm_data = draw.wave, draw.data
+    h_ls = csi.ls_csi(draw.preamble.samples, draw.preamble.symbols,
+                      wave.tx_power)
+    per, r_rt, _ = _beam_range(ctx, wave, draw.h_bar)
     tau_music = r_rt / (2.0 * ctx.c)
     tau_fft = per.range_rt / (2.0 * ctx.c)
-
-    # data frame over the same channel realization
-    comm_data = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
-                                        reflections=refl, c=ctx.c)
 
     sigma_p2 = csi.estimate_sigma_p(h_ls)
     df = wave.subcarrier_spacing
@@ -311,7 +449,7 @@ def ber_trial(ctx: RunContext, csinr_db: float, scen_seed: int,
     out = {}
     for name, h in cases.items():
         dem = csi.equalize_and_demodulate(comm_data.samples, h, wave.tx_power,
-                                          qam_order, comm_data.labels)
+                                          wave.qam_order, comm_data.labels)
         out[name] = dem.ber
     out["csi_mse_ls"] = float(np.mean(np.abs(h_ls - comm_data.csi) ** 2))
     out["csi_mse_enhanced"] = float(
@@ -326,12 +464,14 @@ def run_sweep_ber(ctx: RunContext, csinr_grid=None, trials: int | None = None,
     grid = [10.0, 15.0, 20.0, 25.0, 30.0] if csinr_grid is None \
         else list(csinr_grid)
     n = int(ctx.config["sweep"]["trials"]) if trials is None else int(trials)
+    draws = (_ber_draw(ctx, sinr, *trial_rng(master_seed, pi, t), mue_x,
+                       qam_order)
+             for pi, sinr in enumerate(grid) for t in range(n))
+    results = _estimate_each(ctx, draws, ber_trial)
     rows: list[ResultRow] = []
     for pi, sinr in enumerate(grid):
         acc: dict = {"ber": {}, "csi_mse": {}}
-        for t in range(n):
-            scen_seed, rng = trial_rng(master_seed, pi, t)
-            res = ber_trial(ctx, sinr, scen_seed, rng, mue_x, qam_order)
+        for res in results[pi * n:(pi + 1) * n]:
             for case in ("case_a", "case_b", "case_c", "case_d"):
                 acc["ber"].setdefault(case, []).append(res[case])
             acc["csi_mse"].setdefault("ls", []).append(res["csi_mse_ls"])
@@ -353,8 +493,7 @@ def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
     wave = ctx.wave.with_power(p_tx)
     echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
                                    rng, fading=cfg["fading"], c=ctx.c)
-    w0 = channel.sense_rx_beamformer(ctx.array, scenario.mue_path.aoa)
-    h_bar = echo.beamform(w0) / echo.symbols
+    h_bar = _beam_output(ctx, echo, scenario.mue_path.aoa)
     lam = wave.wavelength(ctx.c)
     r_grid, s_range = music.range_spectrum(h_bar, wave, c=ctx.c)
     f_grid, s_dopp = music.doppler_spectrum(h_bar, wave)
@@ -394,23 +533,27 @@ def validate_theory(ctx: RunContext, sinr_grid=(0.0, 5.0, 10.0),
     scenario = _scene(ctx, scen_seed)
     beams = channel.build_beamformers(scenario, ctx.array)
     truth = scenario.mue_path
+    draws = (_frame_draw(ctx, scenario, beams, sinr,
+                         trial_rng(master_seed, pi + 1, t)[1], True)
+             for pi, sinr in enumerate(sinr_grid) for t in range(trials))
+    # every trial first, so no noise buffer is alive during the per-point
+    # perturbation_report
+    results = _estimate_each(ctx, draws, sensing_trial)
     rows: list[ResultRow] = []
     for pi, sinr in enumerate(sinr_grid):
-        p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams,
-                                             ctx.noise, sinr, ctx.c)
-        wave = ctx.wave.with_power(p_tx)
         acc: dict = {"range_mse": {"music": []}, "velocity_mse": {"music": []}}
-        for t in range(trials):
-            _, rng = trial_rng(master_seed, pi + 1, t)
-            res = _sense_frame(ctx, scenario, beams, sinr, rng, True)
+        for res in results[pi * trials:(pi + 1) * trials]:
             for metric, series in acc.items():
                 series["music"].append(res[metric]["music"])
         rows.extend(_aggregate(acc, sinr, trials, master_seed))
 
-        rep = theory.perturbation_report(scenario, wave, ctx.array, beams,
-                                         ctx.noise, seed=master_seed,
-                                         n_draws=n_draws, c=ctx.c)
-        bound = theory.crb(wave, ctx.array, sinr, truth.aoa.azimuth,
+        p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams,
+                                             ctx.noise, sinr, ctx.c)
+        rep = theory.perturbation_report(scenario, ctx.wave.with_power(p_tx),
+                                         ctx.array, beams, ctx.noise,
+                                         seed=master_seed, n_draws=n_draws,
+                                         c=ctx.c)
+        bound = theory.crb(ctx.wave, ctx.array, sinr, truth.aoa.azimuth,
                            truth.aoa.elevation, ctx.c)
         for metric, th_val, crb_val in (
                 ("range_mse", rep.mse_distance, bound.distance),

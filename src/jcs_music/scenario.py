@@ -32,9 +32,10 @@ MIN_VELOCITY_SEPARATION = 5.0
 # scatterer closing speeds are drawn from [SCATTER_SPEED_MIN, SCATTER_SPEED_MAX)
 SCATTER_SPEED_MIN = 20.0
 SCATTER_SPEED_MAX = 60.0
-# most speeds the half-open interval holds at the separation above
-MAX_SCATTERERS = int(np.ceil((SCATTER_SPEED_MAX - SCATTER_SPEED_MIN)
-                             / MIN_VELOCITY_SEPARATION))
+# most scatterers the rejection sampler places reliably under the bounds
+# above: over scene seeds 0-49 it gave up (10 000 draws) on 0 of 50 scenes
+# at 5 scatterers, 4 at 6, 26 at 7 and 49 at 8
+MAX_SCATTERERS = 5
 
 
 def rotation_matrix(spin_deg: float = ARRAY_SPIN_DEG,
@@ -129,10 +130,8 @@ def generate_scenario(seed: int, n_scatterers: int = 2,
     """
     if not 0 <= n_scatterers <= MAX_SCATTERERS:
         raise ValueError(
-            f"n_scatterers={n_scatterers}: must be in [0, {MAX_SCATTERERS}]; "
-            f"scatterer speeds are drawn from [{SCATTER_SPEED_MIN:g}, "
-            f"{SCATTER_SPEED_MAX:g}) m/s at least "
-            f"{MIN_VELOCITY_SEPARATION:g} m/s apart")
+            f"n_scatterers={n_scatterers}: must be in [0, {MAX_SCATTERERS}], "
+            "the most scatterers the admissibility bounds reliably admit")
     rng = np.random.default_rng(seed)
     rot = rotation_matrix()
 

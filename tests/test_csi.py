@@ -221,12 +221,12 @@ def test_kalman_reduces_noise_on_matched_model(rng):
 def test_enhanced_beats_ls_in_pipeline(ctx):
     """Paired trials at 25 dB C-SINR: delay-informed filtering lowers the
     CSI MSE relative to raw LS."""
-    from jcs_music.harness import ber_trial, trial_rng
+    from jcs_music.harness import ber_trial, draw_ber_trial, trial_rng
     wins = 0
     n = 20
     for t in range(n):
         seed, rng = trial_rng(777, 0, t)
-        res = ber_trial(ctx, 25.0, seed, rng)
+        res = ber_trial(ctx, draw_ber_trial(ctx, 25.0, seed, rng))
         if res["csi_mse_enhanced"] < res["csi_mse_ls"]:
             wins += 1
     assert wins >= n - 2

@@ -1,9 +1,12 @@
 """Sweep harness, result tables, config plumbing, and the CLI."""
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from jcs_music.config import ConfigError, DEFAULTS, bind, load_config
 from jcs_music.harness import (ResultRow, ResultTable, resolution_constants,
                                trial_rng)
 from jcs_music.music import music_range
-from jcs_music.scenario import generate_scenario
+from jcs_music.scenario import MAX_SCATTERERS, generate_scenario
 from jcs_music.steering import Angle2D
 
 
@@ -210,7 +213,7 @@ def _beam_chain_outputs(fn, *args, **kwargs):
 
     def rec_range(*a, **k):
         out = beam_range(*a, **k)
-        ranges.append(out[2])
+        ranges.append(out[1])
         return out
 
     def rec_doppler(*a, **k):
@@ -233,9 +236,11 @@ def _assert_in_domains(ctx, ranges, dopplers):
 
 
 def _assert_trial_in_domains(ctx, sinr, scen_seed, noise_seed, true_beam):
-    res, ranges, dopplers = _beam_chain_outputs(
-        harness.sensing_trial, ctx, sinr, scen_seed,
-        np.random.default_rng(noise_seed), use_true_beam=true_beam)
+    draw = harness.draw_sensing_trial(ctx, sinr, scen_seed,
+                                      np.random.default_rng(noise_seed),
+                                      use_true_beam=true_beam)
+    res, ranges, dopplers = _beam_chain_outputs(harness.sensing_trial, ctx,
+                                                draw)
     assert all(np.isfinite(v) for smap in res.values() for v in smap.values())
     assert len(dopplers) == 1
     _assert_in_domains(ctx, ranges, dopplers)
@@ -291,7 +296,8 @@ def test_noise_only_beam_falls_back_and_stays_in_domain(seed):
         noise_draw=None, symbols=np.ones(h.shape, dtype=complex),
         labels=np.zeros(h.shape, dtype=int),
         reflections=np.ones(1, dtype=complex))
-    h_bar, per, r_rt, n_src = harness._beam_range(ctx, wave, echo, angle)
+    h_bar = harness._beam_output(ctx, echo, angle)
+    per, r_rt, n_src = harness._beam_range(ctx, wave, h_bar)
     assert n_src == 1
     f = harness._beam_doppler(h_bar, wave, per, n_src)
     _assert_in_domains(ctx, [r_rt], [f])
@@ -311,12 +317,149 @@ def test_validate_theory_runs_the_trial_chain():
         acc = {"range_mse": {"music": []}, "velocity_mse": {"music": []}}
         for t in range(trials):
             _, rng = harness.trial_rng(seed, pi + 1, t)
-            res = harness.sensing_trial(ctx, sinr, scen_seed, rng,
-                                        use_true_beam=True)
+            res = harness.sensing_trial(ctx, harness.draw_sensing_trial(
+                ctx, sinr, scen_seed, rng, use_true_beam=True))
             for metric, series in acc.items():
                 series["music"].append(res[metric]["music"])
         expect.extend(harness._aggregate(acc, sinr, trials, seed))
     assert table.filter(series="music").rows == expect
+
+
+# -- trial pipeline ------------------------------------------------------
+
+LAYER_MODULES = ("harness", "scenario", "channel", "qam", "subspace",
+                 "steering", "music", "fft_baseline", "csi", "theory")
+
+
+def _all_sweeps(ctx, seed=3):
+    """Every sweep that runs trials, at 2 points x 2 trials."""
+    return [harness.run_sweep_mse(ctx, [0.0, 10.0], 2, seed),
+            harness.run_sweep_mse(ctx, [0.0, 10.0], 2, seed,
+                                  use_true_beam=True),
+            harness.run_sweep_ber(ctx, [10.0, 30.0], 2, seed),
+            harness.validate_theory(ctx, (0.0, 10.0), 2, seed, n_draws=20)]
+
+
+def _record_trials(mp) -> list:
+    """Rebind the per-trial estimates to append (name, result) per call."""
+    calls = []
+    for name in ("sensing_trial", "ber_trial"):
+        def recorded(ctx, draw, _fn=getattr(harness, name), _name=name):
+            out = _fn(ctx, draw)
+            calls.append((_name, out))
+            return out
+        mp.setattr(harness, name, recorded)
+    return calls
+
+
+def _on_a_thread(fn, timeout: float):
+    """fn() on a daemon thread that must finish within `timeout` s."""
+    box = {}
+
+    def target():
+        try:
+            box["out"] = fn()
+        except BaseException as exc:   # re-raised on the test's thread
+            box["exc"] = exc
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(timeout)
+    assert not th.is_alive(), f"no result within {timeout} s"
+    if "exc" in box:
+        raise box["exc"]
+    return box["out"]
+
+
+def test_sweeps_equal_inline_trials_under_a_hostile_scheduler():
+    """The noise worker changes no value: with the interpreter switching
+    threads every microsecond, every sweep's rows and per-trial results
+    equal those of drawing and estimating each trial inline."""
+    ctx = _small_ctx()
+
+    def inline(ctx, draws, estimate, buffers=1):
+        return [estimate(ctx, harness._draw_here(ctx, d)) for d in draws]
+
+    with pytest.MonkeyPatch.context() as mp:
+        expect_calls = _record_trials(mp)
+        mp.setattr(harness, "_estimate_each", inline)
+        expect = [t.rows for t in _all_sweeps(ctx)]
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_trials(mp)
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _on_a_thread(lambda: [t.rows for t in _all_sweeps(ctx)],
+                               timeout=300.0)
+        finally:
+            sys.setswitchinterval(interval)
+    assert got == expect
+    assert len(calls) == 2 * 4 + 2 * 4 and calls == expect_calls
+
+
+def _wrap_layers(mp, on_call) -> None:
+    """Rebind every public function of the layer modules, at every name
+    in the package that refers to it, to call on_call(name) first."""
+    wrappers = {}
+    for short in LAYER_MODULES:
+        mod = importlib.import_module(f"jcs_music.{short}")
+        for attr, fn in vars(mod).items():
+            if (inspect.isfunction(fn) and not attr.startswith("_")
+                    and fn.__module__ == mod.__name__):
+                def wrapped(*args, _fn=fn, _name=f"{short}.{attr}", **kw):
+                    on_call(_name)
+                    return _fn(*args, **kw)
+                wrappers[fn] = wrapped
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "jcs_music":
+            for attr, obj in list(vars(mod).items()):
+                if inspect.isfunction(obj) and obj in wrappers:
+                    mp.setattr(mod, attr, wrappers[obj])
+
+
+def test_layer_functions_run_on_the_calling_thread_only(monkeypatch):
+    """The worker runs numpy only: during every sweep each public function
+    of the ten layer modules is called on the main thread, and the echo
+    noise is filled on another."""
+    called, off_main, fills = set(), [], []
+
+    def on_call(name):
+        called.add(name)
+        if threading.current_thread() is not threading.main_thread():
+            off_main.append(name)
+
+    _wrap_layers(monkeypatch, on_call)
+    fill = channel._fill_echo_noise
+    monkeypatch.setattr(
+        channel, "_fill_echo_noise",
+        lambda *args: fills.append(threading.current_thread()) or fill(*args))
+    _all_sweeps(_small_ctx())
+    assert off_main == []
+    assert {"channel.synthesize_echo", "music.music_aoa", "csi.kalman_enhance",
+            "harness.sensing_trial", "harness.ber_trial",
+            "theory.perturbation_report"} <= called
+    assert len(fills) == 2 * 4 + 2 * 4
+    assert all(t is not threading.main_thread() for t in fills)
+
+
+@pytest.mark.parametrize("failing", ["_fill_echo_noise", "estimate"])
+@pytest.mark.parametrize("sweep", ["run_sweep_mse", "run_sweep_ber",
+                                   "validate_theory"])
+def test_a_failure_is_raised_and_the_worker_joined(monkeypatch, sweep,
+                                                   failing):
+    def fail(*args, **kwargs):
+        raise FloatingPointError("trial failed")
+
+    if failing == "estimate":
+        for name in ("sensing_trial", "ber_trial"):
+            monkeypatch.setattr(harness, name, fail)
+    else:
+        monkeypatch.setattr(channel, failing, fail)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="trial failed"):
+        getattr(harness, sweep)(_small_ctx(), [0.0, 10.0], 2)
+    assert threading.active_count() == before
 
 
 # -- config --------------------------------------------------------------
@@ -350,25 +493,34 @@ def test_config_rejects_mistyped_value(override, path):
 def test_unplaceable_scatterers_name_the_count(tmp_path, capsys):
     with pytest.raises(ValueError, match="n_scatterers=40"):
         generate_scenario(0, n_scatterers=40)
-    # negative counts and counts the speed interval cannot hold at the
-    # velocity separation are rejected before any draw
-    for n in (-1, 9):
+    # negative counts and counts the sampler cannot place reliably are
+    # rejected before any draw
+    for n in (-1, 6, 9):
         with pytest.raises(ValueError,
-                           match=rf"n_scatterers={n}: must be in \[0, 8\]"):
+                           match=rf"n_scatterers={n}: must be in \[0, 5\]"):
             generate_scenario(0, n_scatterers=n)
     # the CLI flag and a config file are checked as the config key, before
     # anything runs
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": {"n_scatterers": 9}}))
+    configs = []
+    for n in (6, 9):
+        configs.append(tmp_path / f"cfg{n}.json")
+        configs[-1].write_text(json.dumps({"scenario": {"n_scatterers": n}}))
     out = tmp_path / "spec"
     for argv, got in ((["--scatterers", "40"], "got 40"),
                       (["--scatterers", "-3"], "got -3"),
-                      (["--config", str(cfg)], "got 9")):
+                      (["--config", str(configs[0])], "got 6"),
+                      (["--config", str(configs[1])], "got 9")):
         rc = cli.main(["spectrum", *argv, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "scenario.n_scatterers" in err and got in err, err
     assert not out.exists()
+
+
+def test_most_scatterers_place_on_every_seed():
+    for seed in range(20):
+        scen = generate_scenario(seed, n_scatterers=MAX_SCATTERERS)
+        assert scen.n_paths == MAX_SCATTERERS + 1
 
 
 def test_config_invalid_json(tmp_path):
