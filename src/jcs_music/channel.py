@@ -312,7 +312,6 @@ class CommRealization:
 
     samples: np.ndarray            # (N_c, M_s) received y_C
     csi: np.ndarray                # (N_c, M_s) true h_C
-    noise: np.ndarray
     symbols: np.ndarray
     labels: np.ndarray
 
@@ -373,5 +372,5 @@ def synthesize_comm(scenario: Scenario, wave: WaveformConfig,
         std = np.sqrt(noise.total_comm_var / 2.0)
         nse = std * (rng.normal(size=(nc, ms)) + 1j * rng.normal(size=(nc, ms)))
     samples = np.sqrt(wave.tx_power) * symbols * h + nse
-    return CommRealization(samples=samples, csi=h, noise=nse,
-                           symbols=symbols, labels=labels)
+    return CommRealization(samples=samples, csi=h, symbols=symbols,
+                           labels=labels)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -186,24 +185,26 @@ def _local_location(d: float, az: float, el: float) -> np.ndarray:
 # A trial is drawn, then estimated.  The draw is a generator function that
 # makes every generator call of the trial in order: it yields the trial's
 # generator where the echo noise is drawn, is sent the filled noise planes
-# (channel._fill_echo_noise) and returns the drawn trial.  A fixed-beam
-# draw reduces the planes to the beam output before it returns, so the
-# planes' buffer can be refilled while the trial is estimated; an
-# estimated-beam draw keeps the whole echo, planes included.  The estimate
-# makes no random draw.
+# (channel._fill_echo_noise) and returns the drawn trial.  Every draw is
+# done with the planes when it returns: a fixed-beam draw reduces them to
+# the beam output, an estimated-beam draw adds them into the echo tensor as
+# its last step.  So one buffer of planes serves every sweep, refilled while
+# the trial is estimated.  The estimate makes no random draw.
 
 @dataclass(frozen=True)
 class SensingDraw:
     """The random part of one sensing trial: the scene, the calibrated
     waveform and what the receiver observes.  With the true beam that is
-    the per-beam matrix h_bar and `echo` is None; with an estimated beam it
-    is the whole echo, from which the beam is estimated, and `h_bar` is
+    the per-beam matrix h_bar; with an estimated beam it is the whole
+    (PQ, N_c, M_s) echo tensor, from which the beam is estimated, and the
+    symbols its beam output is divided by.  The other case's fields are
     None."""
 
     scenario: Scenario
     wave: channel.WaveformConfig
-    echo: channel.EchoRealization | None
     h_bar: np.ndarray | None
+    snapshots: np.ndarray | None = None
+    symbols: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,9 @@ def _frame_draw(ctx: RunContext, scenario: Scenario,
                                    c=ctx.c, noiseless=True)
     echo = replace(echo, noise_draw=(yield rng))
     if use_true_beam:
-        return SensingDraw(scenario, wave, None,
+        return SensingDraw(scenario, wave,
                            _beam_output(ctx, echo, scenario.mue_path.aoa))
-    return SensingDraw(scenario, wave, echo, None)
+    return SensingDraw(scenario, wave, None, echo.snapshots, echo.symbols)
 
 
 def _sensing_draw(ctx: RunContext, sinr_db: float, scen_seed: int,
@@ -291,7 +292,7 @@ def _draw_here(ctx: RunContext, draw):
                                                   ctx.noise.echo_noise_std))
 
 
-def _estimate_each(ctx: RunContext, draws, estimate, buffers: int = 1) -> list:
+def _estimate_each(ctx: RunContext, draws, estimate) -> list:
     """estimate(ctx, drawn) for each draw in turn, on this thread, while
     one worker thread fills the echo noise planes.
 
@@ -299,32 +300,25 @@ def _estimate_each(ctx: RunContext, draws, estimate, buffers: int = 1) -> list:
     planes, this thread runs trial k + 1's draw up to its noise; it then
     finishes trial k's draw and estimates it while the worker fills trial
     k + 1's planes.  It never touches the generator of a fill in flight,
-    so every value is the one drawn inline.  A fill never writes planes a
-    trial still reads: with one buffer (draws that consume their planes,
-    the fixed beams) trial k + 1's fill starts once trial k is drawn; with
-    two (draws that keep them, the estimated-beam echo) it starts at once,
-    in the buffer trial k - 1 used.
+    so every value is the one drawn inline.  One buffer of planes serves
+    every trial: a drawn trial no longer reads them, so trial k + 1's fill
+    starts once trial k is drawn.
     """
     draws = iter(draws)
-    planes = itertools.cycle([_noise_planes(ctx) for _ in range(buffers)])
+    planes = _noise_planes(ctx)
     std = ctx.noise.echo_noise_std
     out: list = []
     with ThreadPoolExecutor(max_workers=1) as worker:
         def fill(rng):
-            return worker.submit(channel._fill_echo_noise, rng, next(planes),
-                                 std)
+            return worker.submit(channel._fill_echo_noise, rng, planes, std)
 
         draw = next(draws, None)
         filling = fill(next(draw)) if draw is not None else None
         while draw is not None:
-            nxt, nxt_filling = next(draws, None), None
-            if nxt is not None:
-                rng = next(nxt)
-                if buffers > 1:
-                    nxt_filling = fill(rng)
+            nxt = next(draws, None)
+            rng = next(nxt) if nxt is not None else None
             drawn = _finish(draw, filling.result())
-            if nxt is not None and buffers == 1:
-                nxt_filling = fill(rng)
+            nxt_filling = fill(rng) if nxt is not None else None
             out.append(estimate(ctx, drawn))
             del drawn   # freed before trial k + 2 is drawn
             draw, filling = nxt, nxt_filling
@@ -347,16 +341,18 @@ def sensing_trial(ctx: RunContext, draw: SensingDraw) -> dict:
     wave = draw.wave
     lam = wave.wavelength(ctx.c)
 
-    if draw.echo is None:
+    if draw.snapshots is None:
         beam_angle, h_bar = truth.aoa, draw.h_bar
         az_err = el_err = 0.0
     else:
-        ests, _ = music_aoa(draw.echo.snapshots, ctx.array)
+        ests, _ = music_aoa(draw.snapshots, ctx.array)
         est = _nearest_aoa(ests, truth.aoa)
         beam_angle = Angle2D(float(est.value[0]), float(est.value[1]))
         az_err = _wrap_angle(beam_angle.azimuth - truth.aoa.azimuth)
         el_err = beam_angle.elevation - truth.aoa.elevation
-        h_bar = _beam_output(ctx, draw.echo, beam_angle)
+        w = channel.sense_rx_beamformer(ctx.array, beam_angle)
+        h_bar = np.tensordot(w.conj(), draw.snapshots,
+                             axes=([0], [0])) / draw.symbols
 
     per, r_hat, n_src = _beam_range(ctx, wave, h_bar)
     d_hat = r_hat / 2.0
@@ -406,8 +402,7 @@ def run_sweep_mse(ctx: RunContext, sinr_grid=None, trials: int | None = None,
     draws = (_sensing_draw(ctx, sinr, *trial_rng(master_seed, pi, t),
                            use_true_beam)
              for pi, sinr in enumerate(grid) for t in range(n))
-    results = _estimate_each(ctx, draws, sensing_trial,
-                             buffers=1 if use_true_beam else 2)
+    results = _estimate_each(ctx, draws, sensing_trial)
     rows: list[ResultRow] = []
     for pi, sinr in enumerate(grid):
         acc: dict = {}

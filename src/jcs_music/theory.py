@@ -7,6 +7,12 @@ explicit noise draws.  The noise matrix only enters each formula through
 a fixed projection of one of its slices, so an equivalent low-dimensional
 Gaussian vector is drawn instead of the full matrix; this is exact for
 Gaussian noise and keeps draw averaging cheap.
+
+Each formula needs only the leading left singular pairs of its noiseless
+matrix.  The AoA matrix Y = A X (PQ x N_c M_s) has rank at most L, so its
+pairs come from the per-path factors: a QR of X^H and an SVD of the
+PQ x L matrix A R^H (T. F. Chan, ACM TOMS 8(1), 1982); the PQ x N_c x M_s
+tensor is never formed.
 """
 
 from __future__ import annotations
@@ -79,25 +85,26 @@ def _noiseless_echo(scenario: Scenario, wave: WaveformConfig,
                                    reflections=rms, noiseless=True, c=c)
 
 
-def _perturbation_draws(y: np.ndarray, a: np.ndarray, a1: np.ndarray,
-                        noise_var: float, n_paths: int,
-                        rng: np.random.Generator, n_draws: int) -> np.ndarray:
+def _perturbation_draws(u: np.ndarray, s: np.ndarray, shape: tuple,
+                        a: np.ndarray, a1: np.ndarray, noise_var: float,
+                        n_paths: int, rng: np.random.Generator,
+                        n_draws: int) -> np.ndarray:
     """Draws of the first-order error of d parameters, shape (d, n_draws).
 
-    The steering vector a (dim,) and its derivatives a1 (dim, d) run down
-    the rows of the noiseless matrix y.  The error is a fixed linear map
-    of the noise projected onto the signal subspace, normalized by the
+    u (rows, k) and s (k,) are the leading left singular pairs of the
+    noiseless matrix of the given (rows, cols) shape, k at least its
+    effective rank.  The steering vector a (rows,) and its derivatives
+    a1 (rows, d) run down its rows.  The error is a fixed linear map of
+    the noise projected onto the signal subspace, normalized by the
     d x d noise-subspace curvature.
     """
-    # a tall y needs its full left basis; a wide y must not form a full V
-    u, s, _ = np.linalg.svd(y, full_matrices=y.shape[0] > y.shape[1])
-    rank = _effective_rank(s, y.shape[0], y.shape[1], noise_var, n_paths)
-    u_s, s_s, u_0 = u[:, :rank], s[:rank], u[:, rank:]
-    proj = u_0 @ (u_0.conj().T @ a1)                # P0 a1, (dim, d)
+    rank = _effective_rank(s, shape[0], shape[1], noise_var, n_paths)
+    u_s, s_s = u[:, :rank], s[:rank]
+    proj = a1 - u_s @ (u_s.conj().T @ a1)           # P0 a1, (rows, d)
     curvature = np.real(a1.conj().T @ proj)         # d x d (no 2x)
     # ||V_s Sigma^-1 U_s^H a|| with orthonormal V_s columns
     vnorm2 = float(np.sum(np.abs((u_s.conj().T @ a) / s_s) ** 2))
-    z = _complex_normal(rng, (y.shape[0], n_draws), noise_var * vnorm2)
+    z = _complex_normal(rng, (shape[0], n_draws), noise_var * vnorm2)
     return np.linalg.solve(curvature, np.real(proj.conj().T @ z))
 
 
@@ -107,11 +114,18 @@ def aoa_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
                            n_draws: int = 1000,
                            c: float = SPEED_OF_LIGHT) -> np.ndarray:
     """Draws of the direct-path AoA error (azimuth, elevation), shape (2, n),
-    from the array rows of the noiseless snapshot matrix."""
+    from the array rows of the noiseless snapshot matrix Y = A X.
+
+    With X^H = Q R, Y = (A R^H) Q^H and Q has orthonormal columns, so Y's
+    left singular pairs are those of the PQ x L matrix A R^H.
+    """
     real = _noiseless_echo(scenario, wave, array, beams, noise, rng, c)
+    x = real.factors.reshape(len(real.factors), -1)
+    r = np.linalg.qr(x.conj().T, mode="r")
+    u, s, _ = np.linalg.svd(real.steering @ r.conj().T, full_matrices=False)
     p0 = scenario.mue_path.aoa
     first, _ = spatial_steering_derivs(array, p0)
-    return _perturbation_draws(real.snapshots.reshape(array.size, -1),
+    return _perturbation_draws(u, s, (array.size, x.shape[1]),
                                spatial_steering(array, p0), first,
                                noise.total_sense_var, scenario.n_paths, rng,
                                n_draws)
@@ -127,24 +141,28 @@ def range_doppler_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
 
     Returns (delta_r_rt, delta_f), each shape (n_draws,).  The effective
     per-entry noise variance accounts for the unit-norm beamformer and
-    the symbol division's power inflation E[1/|d|^2].  The range stage
-    draws from rng before the Doppler stage.
+    the symbol division's power inflation E[1/|d|^2].  One thin SVD of
+    the (N_c, M_s) beam matrix serves both: range reads its left pairs,
+    Doppler those of the transpose, conj(V).  The range stage draws from
+    rng before the Doppler stage.
     """
     real = _noiseless_echo(scenario, wave, array, beams, noise, rng, c)
     w = channel.sense_rx_beamformer(array, scenario.mue_path.aoa)
     h_p = real.beamform(w) / real.symbols
+    u, s, vh = np.linalg.svd(h_p, full_matrices=False)
     sigma_tr2 = noise.total_sense_var * inverse_symbol_power(wave.qam_order)
     lam = wave.wavelength(c)
     p0 = scenario.mue_path
 
     a, a1, _ = range_steering_derivs(wave.n_subcarriers,
                                      wave.subcarrier_spacing, 2.0 * p0.d1, c)
-    delta_r = _perturbation_draws(h_p, a, a1[:, None], sigma_tr2,
+    delta_r = _perturbation_draws(u, s, h_p.shape, a, a1[:, None], sigma_tr2,
                                   scenario.n_paths, rng, n_draws)[0]
     a, a1, _ = doppler_steering_derivs(wave.n_symbols, wave.symbol_duration,
                                        2.0 * p0.v1 / lam)
-    delta_f = _perturbation_draws(h_p.T, a, a1[:, None], sigma_tr2,
-                                  scenario.n_paths, rng, n_draws)[0]
+    delta_f = _perturbation_draws(vh.T, s, h_p.T.shape, a, a1[:, None],
+                                  sigma_tr2, scenario.n_paths, rng,
+                                  n_draws)[0]
     return delta_r, delta_f
 
 

@@ -377,7 +377,7 @@ def test_sweeps_equal_inline_trials_under_a_hostile_scheduler():
     equal those of drawing and estimating each trial inline."""
     ctx = _small_ctx()
 
-    def inline(ctx, draws, estimate, buffers=1):
+    def inline(ctx, draws, estimate):
         return [estimate(ctx, harness._draw_here(ctx, d)) for d in draws]
 
     with pytest.MonkeyPatch.context() as mp:

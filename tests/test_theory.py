@@ -297,9 +297,51 @@ def test_perturbation_stage_matches_per_parameter_bodies(stage, wave, array,
         ref_fn, new_a1 = _ramp_perturbation_draws, a1[:, None]
     rng_ref, rng_new = np.random.default_rng(7), np.random.default_rng(7)
     ref = ref_fn(y, a, a1, var, scen.n_paths, rng_ref, 500)
-    got = theory._perturbation_draws(y, a, new_a1, var, scen.n_paths,
-                                     rng_new, 500)
+    got = theory._perturbation_draws(
+        *np.linalg.svd(y, full_matrices=False)[:2], y.shape, a, new_a1, var,
+        scen.n_paths, rng_new, 500)
     assert got.shape == (new_a1.shape[1], 500)
     got = got if stage == "aoa" else got[0]
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_aoa_stage_matches_whole_tensor_oracle(wave, array, noise):
+    """The AoA draws from the per-path factors equal the whole-tensor
+    oracle on scenes of 1 to 6 paths, some with buried paths, and leave
+    the generator where the oracle leaves it."""
+    buried = 0
+    for n_scatterers in range(6):
+        for sinr_db in (-10.0, 0.0, 10.0):
+            scen, beams, w = _setup(n_scatterers + 10, wave, array, noise,
+                                    sinr_db, n_scatterers=n_scatterers)
+            rng_ref = np.random.default_rng(n_scatterers)
+            real = theory._noiseless_echo(scen, w, array, beams, noise,
+                                          rng_ref, C)
+            y = real.snapshots.reshape(array.size, -1)
+            a = spatial_steering(array, scen.mue_path.aoa)
+            a1, _ = spatial_steering_derivs(array, scen.mue_path.aoa)
+            var = noise.total_sense_var
+            ref = _aoa_draws(y, a, a1, var, scen.n_paths, rng_ref, 300)
+            rng_new = np.random.default_rng(n_scatterers)
+            got = theory.aoa_perturbation_draws(scen, w, array, beams, noise,
+                                                rng_new, 300, C)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            s = np.linalg.svd(y, compute_uv=False)
+            buried += theory._effective_rank(s, *y.shape, var,
+                                             scen.n_paths) < scen.n_paths
+    assert buried > 0
+
+
+def test_perturbation_report_never_builds_the_echo_tensor(wave, array, noise,
+                                                          monkeypatch):
+    def refuse(self):
+        raise AssertionError("the echo tensor was built")
+
+    monkeypatch.setattr(channel.EchoRealization, "snapshots",
+                        property(refuse))
+    scen, beams, w = _setup(4, wave, array, noise, 5.0)
+    rep = theory.perturbation_report(scen, w, array, beams, noise, seed=0,
+                                     n_draws=100, c=C)
+    assert rep.mse_azimuth > 0 and rep.mse_distance > 0
