@@ -4,7 +4,6 @@ of echo and communication snapshots at calibrated SINR."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -178,59 +177,35 @@ def calibrate_power_comm(scenario: Scenario, wave: WaveformConfig,
 class EchoRealization:
     """One echo frame, held as per-path factors plus one noise draw.
 
-    Y = sum_l steering[:, l] (x) factors[l] + N.  Only 2-D AoA estimation
-    reads the whole (PQ, N_c, M_s) tensor: `snapshots` builds it on the
-    first read and keeps it.  `signal` and `noise` are built on every read.
-    Fixed-beam stages call `beamform`, which contracts the factors and the
-    noise planes instead while the tensor does not exist.
+    Y = sum_l steering[:, l] (x) factors[l] + N.  `beamform` reads one
+    beam's output from the factors and the noise planes; only 2-D AoA
+    estimation reads the whole (PQ, N_c, M_s) tensor, which `snapshots`
+    builds on every read.
     """
 
     steering: np.ndarray           # (PQ, L) echo steering matrix
     factors: np.ndarray            # (L, N_c, M_s) sqrt(P) b_l chi_l d * ramp_l
     noise_draw: np.ndarray | None  # (2, PQ, N_c, M_s) real, imag; None if noiseless
     symbols: np.ndarray            # (N_c, M_s)
-    labels: np.ndarray
-    reflections: np.ndarray        # per-path beta draw
 
     @property
-    def signal(self) -> np.ndarray:
-        """Noiseless tensor, summed in path order through one reused
-        buffer."""
+    def snapshots(self) -> np.ndarray:
+        """(PQ, N_c, M_s) echo tensor: the paths summed in order through
+        one reused buffer, then the noise planes added componentwise."""
         a = self.steering
         y = np.multiply(a[:, 0, None, None], self.factors[0])
         term = np.empty_like(y) if len(self.factors) > 1 else None
         for l in range(1, len(self.factors)):
             y += np.multiply(a[:, l, None, None], self.factors[l], out=term)
-        return y
-
-    @property
-    def noise(self) -> np.ndarray:
-        """Complex noise tensor of the draw; zeros when noiseless."""
-        nse = np.zeros((len(self.steering),) + self.symbols.shape,
-                       dtype=complex)
-        if self.noise_draw is not None:
-            nse.real, nse.imag = self.noise_draw
-        return nse
-
-    @cached_property
-    def snapshots(self) -> np.ndarray:
-        """(PQ, N_c, M_s) echo tensor, componentwise signal + noise."""
-        y = self.signal
         if self.noise_draw is not None:
             y.real += self.noise_draw[0]
             y.imag += self.noise_draw[1]
         return y
 
     def beamform(self, w: np.ndarray) -> np.ndarray:
-        """Beam output w^H Y, shape (N_c, M_s).
-
-        Once `snapshots` exists it is contracted directly.  Before that
-        the result is (w^H A) X + w^H N, with w^H N from two real
-        (2 x PQ) products on the noise planes, so no PQ x N_c x M_s
-        complex array is formed.
-        """
-        if "snapshots" in self.__dict__:
-            return np.tensordot(w.conj(), self.snapshots, axes=([0], [0]))
+        """Beam output w^H Y, shape (N_c, M_s): (w^H A) X + w^H N, with
+        w^H N from two real (2 x PQ) products on the noise planes, so no
+        PQ x N_c x M_s complex array is formed."""
         y = (w.conj() @ self.steering) @ self.factors.reshape(
             len(self.factors), -1)
         if self.noise_draw is not None:
@@ -260,19 +235,17 @@ def path_phases(scenario: Scenario, wave: WaveformConfig, l: int,
 def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
                     tx_array: ArrayConfig, beams: Beamformers,
                     noise: NoiseConfig, rng: np.random.Generator,
-                    symbols: np.ndarray | None = None,
-                    labels: np.ndarray | None = None,
                     reflections: np.ndarray | None = None,
                     fading: str = "phase",
                     c: float = SPEED_OF_LIGHT,
                     noiseless: bool = False) -> EchoRealization:
     """Received echo Y_S at the BS across all subcarriers/symbols, held
-    as per-path factors plus one noise draw (see EchoRealization)."""
+    as per-path factors plus one noise draw (see EchoRealization).
+
+    The generator draws the random symbols, then the reflection factors
+    unless they are given, then the noise planes unless noiseless."""
     nc, ms = wave.n_subcarriers, wave.n_symbols
-    if symbols is None:
-        symbols, labels = qam.random_symbols((nc, ms), wave.qam_order, rng)
-    elif labels is None:
-        labels = np.zeros_like(symbols, dtype=int)
+    symbols, _ = qam.random_symbols((nc, ms), wave.qam_order, rng)
     if reflections is None:
         reflections = draw_reflections(scenario, rng, fading)
 
@@ -291,8 +264,7 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
         z = _fill_echo_noise(rng, np.empty((2, tx_array.size, nc, ms)),
                              noise.echo_noise_std)
     return EchoRealization(steering=steering, factors=factors, noise_draw=z,
-                           symbols=symbols, labels=labels,
-                           reflections=reflections)
+                           symbols=symbols)
 
 
 def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,

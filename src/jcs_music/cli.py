@@ -127,11 +127,10 @@ def main(argv=None) -> int:
             table = harness.crb_table(ctx, sinr_grid=args.sinr,
                                       master_seed=args.seed)
         elif args.command == "validate-theory":
-            kwargs = {"master_seed": args.seed, "n_draws": args.draws}
+            kwargs = {"trials": args.trials, "master_seed": args.seed,
+                      "n_draws": args.draws}
             if args.sinr:
                 kwargs["sinr_grid"] = args.sinr
-            if args.trials is not None:
-                kwargs["trials"] = args.trials
             table = harness.validate_theory(ctx, **kwargs)
         elif args.command == "spectrum":
             sinr = args.sinr[0] if args.sinr else -20.0

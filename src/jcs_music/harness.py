@@ -351,8 +351,7 @@ def sensing_trial(ctx: RunContext, draw: SensingDraw) -> dict:
         az_err = _wrap_angle(beam_angle.azimuth - truth.aoa.azimuth)
         el_err = beam_angle.elevation - truth.aoa.elevation
         w = channel.sense_rx_beamformer(ctx.array, beam_angle)
-        h_bar = np.tensordot(w.conj(), draw.snapshots,
-                             axes=([0], [0])) / draw.symbols
+        h_bar = music.beamform_and_erase(draw.snapshots, w, draw.symbols)
 
     per, r_hat, n_src = _beam_range(ctx, wave, h_bar)
     d_hat = r_hat / 2.0
@@ -478,17 +477,11 @@ def run_sweep_ber(ctx: RunContext, csinr_grid=None, trials: int | None = None,
 
 def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
                       master_seed: int = 0, pad: int = 8) -> dict:
-    """Normalized range and velocity spectra of one realization, with PSLR."""
-    scen_seed, rng = trial_rng(master_seed, 0, 0)
-    cfg = ctx.config["scenario"]
-    scenario = _scene(ctx, scen_seed)
-    beams = channel.build_beamformers(scenario, ctx.array)
-    p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
-                                         sinr_db, ctx.c)
-    wave = ctx.wave.with_power(p_tx)
-    echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
-                                   rng, fading=cfg["fading"], c=ctx.c)
-    h_bar = _beam_output(ctx, echo, scenario.mue_path.aoa)
+    """Normalized range and velocity spectra of one realization, with PSLR:
+    the true-beam draw of trial (master_seed, 0, 0)."""
+    draw = draw_sensing_trial(ctx, sinr_db, *trial_rng(master_seed, 0, 0),
+                              use_true_beam=True)
+    scenario, wave, h_bar = draw.scenario, draw.wave, draw.h_bar
     lam = wave.wavelength(ctx.c)
     r_grid, s_range = music.range_spectrum(h_bar, wave, c=ctx.c)
     f_grid, s_dopp = music.doppler_spectrum(h_bar, wave)
@@ -516,31 +509,32 @@ def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
 
 
 def validate_theory(ctx: RunContext, sinr_grid=(0.0, 5.0, 10.0),
-                    trials: int = 200, master_seed: int = 0,
+                    trials: int | None = None, master_seed: int = 0,
                     n_draws: int = 1000) -> ResultTable:
     """Simulated MUSIC MSEs next to perturbation predictions and CRBs.
 
     One fixed scenario per run; trials vary noise, symbols, and
     reflection phases only, matching the conditioning of the analytic
-    formulas.
+    formulas.  `trials` defaults to the config's sweep.trials.
     """
+    n = int(ctx.config["sweep"]["trials"]) if trials is None else int(trials)
     scen_seed, _ = trial_rng(master_seed, 0, 0)
     scenario = _scene(ctx, scen_seed)
     beams = channel.build_beamformers(scenario, ctx.array)
     truth = scenario.mue_path
     draws = (_frame_draw(ctx, scenario, beams, sinr,
                          trial_rng(master_seed, pi + 1, t)[1], True)
-             for pi, sinr in enumerate(sinr_grid) for t in range(trials))
+             for pi, sinr in enumerate(sinr_grid) for t in range(n))
     # every trial first, so no noise buffer is alive during the per-point
     # perturbation_report
     results = _estimate_each(ctx, draws, sensing_trial)
     rows: list[ResultRow] = []
     for pi, sinr in enumerate(sinr_grid):
         acc: dict = {"range_mse": {"music": []}, "velocity_mse": {"music": []}}
-        for res in results[pi * trials:(pi + 1) * trials]:
+        for res in results[pi * n:(pi + 1) * n]:
             for metric, series in acc.items():
                 series["music"].append(res[metric]["music"])
-        rows.extend(_aggregate(acc, sinr, trials, master_seed))
+        rows.extend(_aggregate(acc, sinr, n, master_seed))
 
         p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams,
                                              ctx.noise, sinr, ctx.c)

@@ -191,9 +191,9 @@ def beamform_and_erase(snapshots: np.ndarray, w_rx: np.ndarray,
     """Beamform the echo tensor and divide out the transmit symbols.
 
     snapshots: (PQ, N_c, M_s); returns the (N_c, M_s) per-beam channel
-    estimate H_bar.  The pipeline reads the beam through
-    `EchoRealization.beamform`; this whole-tensor form is kept as the
-    reference it is tested against, and is not exported by the package.
+    estimate H_bar.  The estimated-beam trial reads its beam here, from
+    the tensor its AoA was estimated on; a beam fixed before synthesis is
+    read from the echo's factors by `EchoRealization.beamform`.
     """
     if np.any(symbols == 0):
         raise ValueError("cannot erase zero-valued symbols")

@@ -87,7 +87,6 @@ class PathParams:
     d2: float = 0.0            # target to MUE, m (0 for l=0)
     v2: float = 0.0            # radial closing speed target-MUE, m/s
     reflect_var_sense: float = 1.0
-    reflect_var_comm: float = 1.0
     position: np.ndarray | None = None
 
 
@@ -146,7 +145,6 @@ def generate_scenario(seed: int, n_scatterers: int = 2,
 
     paths = [PathParams(index=0, aoa=aoa0, d1=d0, v1=v0,
                         reflect_var_sense=reflect_var,
-                        reflect_var_comm=reflect_var,
                         position=mue)]
 
     directions = [u0]
@@ -185,7 +183,6 @@ def generate_scenario(seed: int, n_scatterers: int = 2,
         paths.append(PathParams(index=l, aoa=ang, d1=d1, v1=speed,
                                 d2=d2, v2=v2,
                                 reflect_var_sense=reflect_var,
-                                reflect_var_comm=reflect_var,
                                 position=pos))
         directions.append(direction)
         speeds.append(speed)

@@ -25,9 +25,6 @@ class Angle2D:
     azimuth: float
     elevation: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.azimuth, self.elevation])
-
 
 @dataclass(frozen=True)
 class ArrayConfig:

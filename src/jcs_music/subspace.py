@@ -76,11 +76,10 @@ def detect_source_count(eigenvalues: np.ndarray, epsilon: float = 1.0,
         raise ValueError("epsilon must be nonnegative")
     # a rank-deficient sample covariance pads the spectrum with structural
     # zeros; they sit below the noise floor and must not bias the gap mean
-    n_eff = len(v_all) if max_rank is None else min(len(v_all), max_rank)
-    if n_eff < 2:
+    n = len(v_all) if max_rank is None else min(len(v_all), max_rank)
+    if n < 2:
         raise ValueError("max_rank leaves fewer than two eigenvalues")
-    v = v_all[:n_eff]
-    n = n_eff
+    v = v_all[:n]
     vd = v[:-1] - v[1:]                       # vd[i] is the (i+1)th gap
     half_start = (n - 1) // 2                 # 1-based index floor((N-1)/2)
     tail = vd[half_start - 1:] if half_start >= 1 else vd
@@ -88,7 +87,7 @@ def detect_source_count(eigenvalues: np.ndarray, epsilon: float = 1.0,
     thresh = (1.0 + epsilon) * vbar
 
     count = 0
-    for i in range(min(n - 1, n_eff - 1)):
+    for i in range(n - 1):
         if vd[i] > thresh:
             count += 1
         else:

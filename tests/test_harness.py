@@ -293,9 +293,7 @@ def test_noise_only_beam_falls_back_and_stays_in_domain(seed):
     w = channel.sense_rx_beamformer(ctx.array, angle)
     echo = channel.EchoRealization(
         steering=w[:, None] / np.vdot(w, w), factors=h[None],
-        noise_draw=None, symbols=np.ones(h.shape, dtype=complex),
-        labels=np.zeros(h.shape, dtype=int),
-        reflections=np.ones(1, dtype=complex))
+        noise_draw=None, symbols=np.ones(h.shape, dtype=complex))
     h_bar = harness._beam_output(ctx, echo, angle)
     per, r_rt, n_src = harness._beam_range(ctx, wave, h_bar)
     assert n_src == 1
@@ -619,6 +617,20 @@ def test_cli_sweep_ber_sinr_is_the_csinr_grid(tmp_path):
                      "--trials", "1", "--out", str(out)]) == 0
     table = ResultTable.from_csv((out / "table.csv").read_text())
     assert {r.sinr_db for r in table.rows} == {18.0}
+
+
+def test_cli_validate_theory_reads_the_config_trials(tmp_path):
+    """With no --trials, validate-theory runs the config's sweep.trials."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"array": {"rows": 4, "cols": 4},
+                               "waveform": {"n_subcarriers": 64,
+                                            "n_symbols": 32},
+                               "sweep": {"trials": 2}}))
+    out = tmp_path / "res"
+    assert cli.main(["validate-theory", "--config", str(cfg), "--sinr", "10",
+                     "--draws", "20", "--out", str(out)]) == 0
+    table = ResultTable.from_csv((out / "table.csv").read_text())
+    assert {r.trials for r in table.filter(series="music").rows} == {2}
 
 
 def test_cli_out_on_a_file_is_an_error(tmp_path, capsys):

@@ -56,7 +56,7 @@ def test_noiseless_noise_subspace_orthogonality(wave, array, noise):
         y = echo.snapshots.reshape(array.size, -1)
         # SVD of the snapshots spans the same subspace as the covariance
         # eigenvectors without squaring the conditioning
-        u = np.linalg.svd(y, full_matrices=True)[0]
+        u = np.linalg.svd(y, full_matrices=False)[0]
         un = u[:, rank:]
         for p in scen.paths:
             a = spatial_steering(array, p.aoa)
