@@ -202,16 +202,20 @@ class EchoRealization:
             y.imag += self.noise_draw[1]
         return y
 
-    def beamform(self, w: np.ndarray) -> np.ndarray:
+    def beamform(self, w: np.ndarray, planes=None) -> np.ndarray:
         """Beam output w^H Y, shape (N_c, M_s): (w^H A) X + w^H N, with
-        w^H N from two real (2 x PQ) products on the noise planes, so no
-        PQ x N_c x M_s complex array is formed."""
+        w^H N from two real (2 x PQ) products, one on the real and one on
+        the imaginary noise plane, so no PQ x N_c x M_s complex array is
+        formed.  The planes are the echo's noise draw, or the two
+        (PQ, N_c*M_s) arrays `planes` yields in turn; each is reduced
+        before the next is taken, so one buffer can hold both."""
         y = (w.conj() @ self.steering) @ self.factors.reshape(
             len(self.factors), -1)
-        if self.noise_draw is not None:
+        if planes is None and self.noise_draw is not None:
             planes = self.noise_draw.reshape(2, len(w), -1)
+        if planes is not None:
             w2 = np.stack([w.real, w.imag])
-            nr, ni = w2 @ planes[0], w2 @ planes[1]
+            nr, ni = (w2 @ plane for plane in planes)
             # (wr - j wi)(nr + j ni) = wr nr + wi ni + j (wr ni - wi nr)
             y.real += nr[0] + ni[1]
             y.imag += ni[0] - nr[1]
@@ -269,13 +273,40 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
 
 def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,
                      std: float) -> np.ndarray:
-    """Draw the (2, PQ, N_c, M_s) echo noise planes into `out`: the
-    stream and the values of std * (normal + 1j * normal), real parts
-    first, then imaginary parts.  It calls numpy only, so the harness runs
-    it on a worker thread."""
+    """Draw the next `out.size` values of the echo noise into `out`.
+
+    The echo noise is std * (normal + 1j * normal) over (PQ, N_c, M_s),
+    drawn as the real plane, then the imaginary plane.  Every split of
+    that sequence into consecutive `out` arrays (both planes at once, one
+    plane, one row) draws the same values and leaves the generator in the
+    same state.  It calls numpy only, so the harness runs it on a worker
+    thread."""
     rng.standard_normal(out=out)
     out *= std
     return out
+
+
+def _noisy_beam(echo: EchoRealization, w: np.ndarray,
+                rng: np.random.Generator, std: float,
+                plane: np.ndarray) -> np.ndarray:
+    """echo.beamform(w) of the noiseless `echo` with its noise drawn from
+    rng: the real plane is drawn into `plane` (PQ, N_c*M_s) and reduced
+    to the beam, then the imaginary plane is drawn into it."""
+    return echo.beamform(w, (_fill_echo_noise(rng, plane, std)
+                             for _ in range(2)))
+
+
+def _noisy_snapshots(echo: EchoRealization, rng: np.random.Generator,
+                     std: float, plane: np.ndarray) -> np.ndarray:
+    """echo.snapshots of the noiseless `echo` with its noise drawn from
+    rng one (N_c*M_s,) row at a time, real parts first, into the first
+    row of `plane`; the rest of `plane` is not touched."""
+    y = echo.snapshots
+    rows = y.reshape(len(y), -1)
+    for part in (rows.real, rows.imag):
+        for row in part:
+            row += _fill_echo_noise(rng, plane[0], std)
+    return y
 
 
 @dataclass(frozen=True)

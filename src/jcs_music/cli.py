@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-theory", help="simulated MSEs next to "
                                                "perturbation predictions")
-    _add_common(p)
+    _add_common(p, sinr_help="S-SINR grid in dB (default 0 5 10; the "
+                             "config grid is not read)")
     p.add_argument("--draws", type=_positive_int, default=1000,
                    help="noise draws for the analytic prediction")
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -145,11 +147,14 @@ def _scene(ctx: RunContext, scen_seed: int, **overrides) -> Scenario:
 
 
 def _beam_output(ctx: RunContext, echo: channel.EchoRealization,
-                 angle: Angle2D) -> np.ndarray:
-    """Per-beam matrix h_bar: the echo through the receive beam steered at
-    `angle`, with the symbols erased."""
+                 angle: Angle2D, rng: np.random.Generator):
+    """Draw of the per-beam matrix h_bar: the noiseless echo through the
+    receive beam steered at `angle`, its noise drawn by a fill that
+    reduces each plane to the beam, with the symbols erased."""
     w = channel.sense_rx_beamformer(ctx.array, angle)
-    return echo.beamform(w) / echo.symbols
+    beam = yield partial(channel._noisy_beam, echo, w, rng,
+                         ctx.noise.echo_noise_std)
+    return beam / echo.symbols
 
 
 def _beam_range(ctx: RunContext, wave: channel.WaveformConfig,
@@ -183,13 +188,17 @@ def _local_location(d: float, az: float, el: float) -> np.ndarray:
 
 
 # A trial is drawn, then estimated.  The draw is a generator function that
-# makes every generator call of the trial in order: it yields the trial's
-# generator where the echo noise is drawn, is sent the filled noise planes
-# (channel._fill_echo_noise) and returns the drawn trial.  Every draw is
-# done with the planes when it returns: a fixed-beam draw reduces them to
-# the beam output, an estimated-beam draw adds them into the echo tensor as
-# its last step.  So one buffer of planes serves every sweep, refilled while
-# the trial is estimated.  The estimate makes no random draw.
+# makes every generator call of the trial in order.  Where the echo noise
+# is drawn it yields a fill: a function of one (PQ, N_c*M_s) float plane
+# that draws the noise from the trial's generator and reduces it as it is
+# drawn.  A fixed-beam fill (channel._noisy_beam) draws the real plane and
+# takes its beam, then redraws the plane as the imaginary one and takes its
+# beam; an estimated-beam fill (channel._noisy_snapshots) builds the echo
+# tensor and adds the noise one row at a time.  The draw is sent what its
+# fill returns and returns the drawn trial.  A fill calls numpy and
+# channel._fill_echo_noise only, and is done with its plane when it
+# returns, so the sweeps run fills on worker threads, each with its own
+# plane.  The estimate makes no random draw.
 
 @dataclass(frozen=True)
 class SensingDraw:
@@ -230,11 +239,12 @@ def _frame_draw(ctx: RunContext, scenario: Scenario,
     echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
                                    rng, fading=ctx.config["scenario"]["fading"],
                                    c=ctx.c, noiseless=True)
-    echo = replace(echo, noise_draw=(yield rng))
     if use_true_beam:
-        return SensingDraw(scenario, wave,
-                           _beam_output(ctx, echo, scenario.mue_path.aoa))
-    return SensingDraw(scenario, wave, None, echo.snapshots, echo.symbols)
+        h_bar = yield from _beam_output(ctx, echo, scenario.mue_path.aoa, rng)
+        return SensingDraw(scenario, wave, h_bar)
+    snapshots = yield partial(channel._noisy_snapshots, echo, rng,
+                              ctx.noise.echo_noise_std)
+    return SensingDraw(scenario, wave, None, snapshots, echo.symbols)
 
 
 def _sensing_draw(ctx: RunContext, sinr_db: float, scen_seed: int,
@@ -263,23 +273,29 @@ def _ber_draw(ctx: RunContext, csinr_db: float, scen_seed: int,
     echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
                                    rng, reflections=refl, fading=cfg["fading"],
                                    c=ctx.c, noiseless=True)
-    echo = replace(echo, noise_draw=(yield rng))
-    h_bar = _beam_output(ctx, echo, scenario.mue_path.aoa)
+    h_bar = yield from _beam_output(ctx, echo, scenario.mue_path.aoa, rng)
     comm_data = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
                                         reflections=refl, c=ctx.c)
     return BerDraw(wave, comm_pre, h_bar, comm_data)
 
 
-def _noise_planes(ctx: RunContext) -> np.ndarray:
-    """Uninitialised (2, PQ, N_c, M_s) echo noise planes."""
-    return np.empty((2, ctx.array.size, ctx.wave.n_subcarriers,
-                     ctx.wave.n_symbols))
+# Noise fills in flight, each on its own worker thread with its own plane:
+# two keep both cores of a two-core machine busy while the calling thread
+# waits, and each more worker holds one more plane (8 MiB at the shipped
+# numerology).
+NOISE_WORKERS = 2
 
 
-def _finish(draw, planes: np.ndarray):
-    """Send a started draw its filled noise planes; the drawn trial."""
+def _noise_plane(ctx: RunContext) -> np.ndarray:
+    """Uninitialised (PQ, N_c*M_s) echo noise plane."""
+    return np.empty((ctx.array.size,
+                     ctx.wave.n_subcarriers * ctx.wave.n_symbols))
+
+
+def _finish(draw, filled):
+    """Send a started draw what its fill returned; the drawn trial."""
     try:
-        draw.send(planes)
+        draw.send(filled)
     except StopIteration as done:
         return done.value
     raise RuntimeError("a trial draw yields once, for its echo noise")
@@ -287,41 +303,47 @@ def _finish(draw, planes: np.ndarray):
 
 def _draw_here(ctx: RunContext, draw):
     """Run a draw to the end on this thread."""
-    rng = next(draw)
-    return _finish(draw, channel._fill_echo_noise(rng, _noise_planes(ctx),
-                                                  ctx.noise.echo_noise_std))
+    fill = next(draw)
+    return _finish(draw, fill(_noise_plane(ctx)))
 
 
 def _estimate_each(ctx: RunContext, draws, estimate) -> list:
     """estimate(ctx, drawn) for each draw in turn, on this thread, while
-    one worker thread fills the echo noise planes.
+    NOISE_WORKERS worker threads run the draws' noise fills.
 
-    Each trial owns its generator.  While the worker fills trial k's
-    planes, this thread runs trial k + 1's draw up to its noise; it then
-    finishes trial k's draw and estimates it while the worker fills trial
-    k + 1's planes.  It never touches the generator of a fill in flight,
-    so every value is the one drawn inline.  One buffer of planes serves
-    every trial: a drawn trial no longer reads them, so trial k + 1's fill
-    starts once trial k is drawn.
+    Each trial owns its generator, so the fills of two trials can run at
+    once.  This thread runs a draw up to its noise and submits its fill
+    with the plane that trial k's fill uses, plane k mod NOISE_WORKERS.
+    It starts the first NOISE_WORKERS draws at once.  Then for each trial
+    it waits for its fill, finishes its draw and estimates it, and only
+    after the estimate returns does it start the next draw.  So at most
+    NOISE_WORKERS fills are in flight, an estimate runs beside at most one
+    fill, and this thread waits only while every worker is filling.  A
+    fill reduces its plane before it returns, so trial k + NOISE_WORKERS's
+    fill may reuse trial k's plane.  This thread never touches the
+    generator of a fill in flight, so every value is the one drawn inline.
     """
-    draws = iter(draws)
-    planes = _noise_planes(ctx)
-    std = ctx.noise.echo_noise_std
+    draws = enumerate(draws)
+    planes = [_noise_plane(ctx) for _ in range(NOISE_WORKERS)]
+    ahead: deque = deque()
     out: list = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        def fill(rng):
-            return worker.submit(channel._fill_echo_noise, rng, planes, std)
+    with ThreadPoolExecutor(max_workers=NOISE_WORKERS) as workers:
+        def start():
+            k, draw = next(draws, (None, None))
+            if draw is not None:
+                fill = next(draw)
+                ahead.append((draw, workers.submit(
+                    fill, planes[k % NOISE_WORKERS])))
 
-        draw = next(draws, None)
-        filling = fill(next(draw)) if draw is not None else None
-        while draw is not None:
-            nxt = next(draws, None)
-            rng = next(nxt) if nxt is not None else None
+        for _ in planes:
+            start()
+        while ahead:
+            draw, filling = ahead.popleft()
             drawn = _finish(draw, filling.result())
-            nxt_filling = fill(rng) if nxt is not None else None
+            del filling   # its result is drawn's
             out.append(estimate(ctx, drawn))
-            del drawn   # freed before trial k + 2 is drawn
-            draw, filling = nxt, nxt_filling
+            del drawn     # freed before the next trial is drawn
+            start()
     return out
 
 

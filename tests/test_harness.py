@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -294,7 +295,7 @@ def test_noise_only_beam_falls_back_and_stays_in_domain(seed):
     echo = channel.EchoRealization(
         steering=w[:, None] / np.vdot(w, w), factors=h[None],
         noise_draw=None, symbols=np.ones(h.shape, dtype=complex))
-    h_bar = harness._beam_output(ctx, echo, angle)
+    h_bar = echo.beamform(w) / echo.symbols
     per, r_rt, n_src = harness._beam_range(ctx, wave, h_bar)
     assert n_src == 1
     f = harness._beam_doppler(h_bar, wave, per, n_src)
@@ -437,8 +438,60 @@ def test_layer_functions_run_on_the_calling_thread_only(monkeypatch):
     assert {"channel.synthesize_echo", "music.music_aoa", "csi.kalman_enhance",
             "harness.sensing_trial", "harness.ber_trial",
             "theory.perturbation_report"} <= called
-    assert len(fills) == 2 * 4 + 2 * 4
+    # one fill per plane for the 12 fixed-beam trials, per row for the 4
+    # estimated-beam trials (2 * PQ rows of the 4 x 4 array)
+    assert len(fills) == 12 * 2 + 4 * 2 * 16
     assert all(t is not threading.main_thread() for t in fills)
+
+
+def test_noise_fills_run_two_ahead_and_one_beside_an_estimate(monkeypatch):
+    """Every sweep keeps at most two noise fills in flight, runs at most
+    one fill while a trial is estimated, and runs every fill off the
+    calling thread.  Each fill first sleeps, so fills overlap the
+    estimates and each other."""
+    lock = threading.Lock()
+    state = {"fills": 0, "estimating": False}
+    in_flight, beside, threads = [], [], []
+
+    def fill_entry(fn):
+        def fill(*args):
+            with lock:
+                state["fills"] += 1
+                in_flight.append(state["fills"])
+                if state["estimating"]:
+                    beside.append(state["fills"])
+                threads.append(threading.current_thread())
+            try:
+                time.sleep(0.05)
+                return fn(*args)
+            finally:
+                with lock:
+                    state["fills"] -= 1
+        return fill
+
+    def timed_estimate(fn):
+        def estimate(ctx, draw):
+            with lock:
+                state["estimating"] = True
+                beside.append(state["fills"])
+            try:
+                return fn(ctx, draw)
+            finally:
+                with lock:
+                    beside.append(state["fills"])
+                    state["estimating"] = False
+        return estimate
+
+    for name in ("_noisy_beam", "_noisy_snapshots"):
+        monkeypatch.setattr(channel, name, fill_entry(getattr(channel, name)))
+    for name in ("sensing_trial", "ber_trial"):
+        monkeypatch.setattr(harness, name,
+                            timed_estimate(getattr(harness, name)))
+    _all_sweeps(_small_ctx())
+    assert harness.NOISE_WORKERS == 2 == max(in_flight)
+    assert len(beside) >= 2 * 16 and max(beside) <= 1
+    assert len(threads) == 16
+    assert threading.main_thread() not in threads
 
 
 @pytest.mark.parametrize("failing", ["_fill_echo_noise", "estimate"])

@@ -1,6 +1,7 @@
 """Scene generation and echo/comm synthesis against geometric and
 statistical oracles."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -330,6 +331,38 @@ def test_beamform_matches_tensor_contraction(numerology, noiseless,
         want = np.tensordot(w.conj(), y, axes=([0], [0]))
         assert got.shape == want.shape == y.shape[1:]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("numerology", ["default", "small"])
+def test_noise_fills_equal_the_drawn_echo(numerology, small_wave,
+                                          small_array, noise):
+    """The fills that draw the noise of a noiseless echo and reduce it as
+    it is drawn give, bit for bit, the noisy echo drawn in one call: the
+    beam from two planes drawn in turn into one buffer, the tensor from
+    rows drawn into its first row.  The generator ends in the same state."""
+    wave, array = _numerology(numerology, small_wave, small_array)
+    wave = wave.with_power(2.5e5)
+    scen = generate_scenario(11, n_scatterers=2)
+    beams = channel.build_beamformers(scen, array)
+    start = np.random.default_rng(11)
+    rng = copy.deepcopy(start)
+    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng)
+    std = noise.echo_noise_std
+
+    def fill(fn, *args):
+        fill_rng = copy.deepcopy(start)
+        bare = channel.synthesize_echo(scen, wave, array, beams, noise,
+                                       fill_rng, noiseless=True)
+        plane = np.full((array.size, wave.n_subcarriers * wave.n_symbols),
+                        np.nan)
+        got = fn(bare, *args, fill_rng, std, plane)
+        assert fill_rng.bit_generator.state == rng.bit_generator.state
+        return got
+
+    for p in scen.paths:
+        w = channel.sense_rx_beamformer(array, p.aoa)
+        assert np.array_equal(fill(channel._noisy_beam, w), echo.beamform(w))
+    assert np.array_equal(fill(channel._noisy_snapshots), echo.snapshots)
 
 
 def test_echo_holds_no_array_tensor_until_read(small_wave, small_array,
