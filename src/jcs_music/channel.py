@@ -190,13 +190,16 @@ class EchoRealization:
 
     @property
     def snapshots(self) -> np.ndarray:
-        """(PQ, N_c, M_s) echo tensor: the paths summed in order through
-        one reused buffer, then the noise planes added componentwise."""
-        a = self.steering
-        y = np.multiply(a[:, 0, None, None], self.factors[0])
-        term = np.empty_like(y) if len(self.factors) > 1 else None
-        for l in range(1, len(self.factors)):
-            y += np.multiply(a[:, l, None, None], self.factors[l], out=term)
+        """(PQ, N_c, M_s) echo tensor, built one antenna row at a time:
+        the paths summed in order through one (N_c, M_s) term buffer,
+        then the noise planes added componentwise."""
+        f = self.factors
+        y = np.empty((len(self.steering),) + f.shape[1:], dtype=f.dtype)
+        term = np.empty_like(f[0])
+        for row, a in zip(y, self.steering):
+            np.multiply(a[0], f[0], out=row)
+            for l in range(1, len(f)):
+                row += np.multiply(a[l], f[l], out=term)
         if self.noise_draw is not None:
             y.real += self.noise_draw[0]
             y.imag += self.noise_draw[1]
@@ -271,6 +274,11 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
                            symbols=symbols)
 
 
+# Rows of echo noise an estimated-beam fill draws at a time, into the
+# first rows of its plane: 1 MiB at the shipped N_c*M_s = 16 384.
+NOISE_BLOCK_ROWS = 8
+
+
 def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,
                      std: float) -> np.ndarray:
     """Draw the next `out.size` values of the echo noise into `out`.
@@ -278,9 +286,9 @@ def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,
     The echo noise is std * (normal + 1j * normal) over (PQ, N_c, M_s),
     drawn as the real plane, then the imaginary plane.  Every split of
     that sequence into consecutive `out` arrays (both planes at once, one
-    plane, one row) draws the same values and leaves the generator in the
-    same state.  It calls numpy only, so the harness runs it on a worker
-    thread."""
+    plane, a block of rows) draws the same values and leaves the
+    generator in the same state.  It calls numpy only, so the harness
+    runs it on a worker thread."""
     rng.standard_normal(out=out)
     out *= std
     return out
@@ -299,13 +307,14 @@ def _noisy_beam(echo: EchoRealization, w: np.ndarray,
 def _noisy_snapshots(echo: EchoRealization, rng: np.random.Generator,
                      std: float, plane: np.ndarray) -> np.ndarray:
     """echo.snapshots of the noiseless `echo` with its noise drawn from
-    rng one (N_c*M_s,) row at a time, real parts first, into the first
-    row of `plane`; the rest of `plane` is not touched."""
+    rng NOISE_BLOCK_ROWS (N_c*M_s,) rows at a time, real parts first,
+    into the first rows of `plane`; the rest of `plane` is not touched."""
     y = echo.snapshots
     rows = y.reshape(len(y), -1)
     for part in (rows.real, rows.imag):
-        for row in part:
-            row += _fill_echo_noise(rng, plane[0], std)
+        for i in range(0, len(part), NOISE_BLOCK_ROWS):
+            block = part[i:i + NOISE_BLOCK_ROWS]
+            block += _fill_echo_noise(rng, plane[:len(block)], std)
     return y
 
 

@@ -14,11 +14,14 @@ from . import harness
 from .config import ConfigError, bind, load_config
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """argparse type: a decimal integer >= low."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -33,7 +36,8 @@ def _add_common(p: argparse.ArgumentParser, sinr_type=float,
                 sinr_help="SINR grid in dB (overrides the config grid)"
                 ) -> None:
     p.add_argument("--config", help="JSON config file overlaying the defaults")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="master seed")
     p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--legacy-c", action="store_true",
@@ -59,14 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     # a C-SINR grid, which no config key holds: checked here, not as a key
     _add_common(p, sinr_type=_finite_float,
                 sinr_help="C-SINR grid in dB (default 10 to 30 in 5 dB steps)")
-    p.add_argument("--mue-x", type=float, default=75.0,
+    p.add_argument("--mue-x", type=_finite_float, default=75.0,
                    help="pinned user x coordinate")
     p.add_argument("--qam-order", type=int, default=64, choices=(4, 16, 64))
 
     p = sub.add_parser("spectrum", help="single-shot range/velocity spectra "
                                         "with PSLR")
     _add_common(p)
-    p.add_argument("--pad", type=_positive_int, default=8,
+    p.add_argument("--pad", type=_int_at_least(1), default=8,
                    help="FFT zero-pad factor")
     p.add_argument("--scatterers", type=int, default=None,
                    help="override the configured scatterer count")
@@ -78,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                "perturbation predictions")
     _add_common(p, sinr_help="S-SINR grid in dB (default 0 5 10; the "
                              "config grid is not read)")
-    p.add_argument("--draws", type=_positive_int, default=1000,
+    p.add_argument("--draws", type=_int_at_least(1), default=1000,
                    help="noise draws for the analytic prediction")
 
     p = sub.add_parser("resolution", help="print baseline range/velocity "

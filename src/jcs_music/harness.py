@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import channel, csi, fft_baseline, music, qam, theory
+from . import channel, csi, fft_baseline, music, qam, subspace, theory
 from .config import RunContext
 from .music import music_aoa, music_doppler, music_range
 from .scenario import Scenario, generate_scenario
@@ -193,27 +193,30 @@ def _local_location(d: float, az: float, el: float) -> np.ndarray:
 # that draws the noise from the trial's generator and reduces it as it is
 # drawn.  A fixed-beam fill (channel._noisy_beam) draws the real plane and
 # takes its beam, then redraws the plane as the imaginary one and takes its
-# beam; an estimated-beam fill (channel._noisy_snapshots) builds the echo
-# tensor and adds the noise one row at a time.  The draw is sent what its
-# fill returns and returns the drawn trial.  A fill calls numpy and
-# channel._fill_echo_noise only, and is done with its plane when it
-# returns, so the sweeps run fills on worker threads, each with its own
-# plane.  The estimate makes no random draw.
+# beam; an estimated-beam fill (_aoa_fill) builds the echo tensor, adds
+# the noise a block of rows at a time, then takes the AoA covariance of
+# the tensor.  The draw is sent what its fill returns and returns the
+# drawn trial.  A fill calls numpy, channel._fill_echo_noise and
+# subspace._covariance only, and is done with its plane when it returns,
+# so the sweeps run fills on worker threads, each with its own plane.
+# The estimate makes no random draw.
 
 @dataclass(frozen=True)
 class SensingDraw:
     """The random part of one sensing trial: the scene, the calibrated
     waveform and what the receiver observes.  With the true beam that is
-    the per-beam matrix h_bar; with an estimated beam it is the whole
-    (PQ, N_c, M_s) echo tensor, from which the beam is estimated, and the
-    symbols its beam output is divided by.  The other case's fields are
-    None."""
+    the per-beam matrix h_bar.  With an estimated beam it is the whole
+    (PQ, N_c, M_s) echo tensor, its PQ x PQ sample covariance, from which
+    the AoA is estimated, and the symbols; the estimated beam is read
+    from the tensor and divided by the symbols.  The other case's fields
+    are None."""
 
     scenario: Scenario
     wave: channel.WaveformConfig
     h_bar: np.ndarray | None
     snapshots: np.ndarray | None = None
     symbols: np.ndarray | None = None
+    covariance: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -242,9 +245,17 @@ def _frame_draw(ctx: RunContext, scenario: Scenario,
     if use_true_beam:
         h_bar = yield from _beam_output(ctx, echo, scenario.mue_path.aoa, rng)
         return SensingDraw(scenario, wave, h_bar)
-    snapshots = yield partial(channel._noisy_snapshots, echo, rng,
-                              ctx.noise.echo_noise_std)
-    return SensingDraw(scenario, wave, None, snapshots, echo.symbols)
+    snapshots, cov = yield partial(_aoa_fill, echo, rng,
+                                   ctx.noise.echo_noise_std)
+    return SensingDraw(scenario, wave, None, snapshots, echo.symbols, cov)
+
+
+def _aoa_fill(echo: channel.EchoRealization, rng: np.random.Generator,
+              std: float, plane: np.ndarray):
+    """Fill of an estimated-beam draw: the noisy echo tensor, and the
+    sample covariance of its (PQ, N_c*M_s) matrix that music_aoa reads."""
+    y = channel._noisy_snapshots(echo, rng, std, plane)
+    return y, subspace._covariance(y.reshape(len(y), -1))
 
 
 def _sensing_draw(ctx: RunContext, sinr_db: float, scen_seed: int,
@@ -367,7 +378,7 @@ def sensing_trial(ctx: RunContext, draw: SensingDraw) -> dict:
         beam_angle, h_bar = truth.aoa, draw.h_bar
         az_err = el_err = 0.0
     else:
-        ests, _ = music_aoa(draw.snapshots, ctx.array)
+        ests, _ = music_aoa(draw.covariance, ctx.array)
         est = _nearest_aoa(ests, truth.aoa)
         beam_angle = Angle2D(float(est.value[0]), float(est.value[1]))
         az_err = _wrap_angle(beam_angle.azimuth - truth.aoa.azimuth)

@@ -133,16 +133,19 @@ def _aoa_grid(rows: int, cols: int, spacing: float, wavelength: float):
     return az, el, a
 
 
-def music_aoa(snapshots: np.ndarray, array: ArrayConfig,
+def music_aoa(cov: np.ndarray, array: ArrayConfig,
               n_sources: int | None = None):
-    """2D AoA estimates from echo snapshots.
+    """2D AoA estimates from the PQ x PQ sample covariance of the echo.
 
-    snapshots: (PQ, ...) tensor, flattened to (PQ, n_snap).
-    Returns (list of SpectrumEstimate with Angle2D-like value arrays,
-    SubspaceDecomposition).
+    cov is `covariance` of the (PQ, N_c*M_s) echo matrix; the
+    estimated-beam draw takes it beside the tensor.  Its `eigh` is split
+    with max_rank = PQ.  Returns (list of SpectrumEstimate with
+    Angle2D-like value arrays, SubspaceDecomposition).
     """
-    y = snapshots.reshape(snapshots.shape[0], -1)
-    dec = decompose_snapshots(y, n_sources=n_sources)
+    if np.shape(cov) != (array.size, array.size):
+        raise ValueError(f"cov must be the {array.size} x {array.size} "
+                         f"array covariance, got shape {np.shape(cov)}")
+    dec = decompose(cov, max_rank=array.size, n_sources=n_sources)
     us = dec.signal_basis
     un = dec.noise_basis
 

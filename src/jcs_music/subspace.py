@@ -29,11 +29,16 @@ def _matrix(snapshots: np.ndarray) -> np.ndarray:
     return y
 
 
-def covariance(snapshots: np.ndarray) -> np.ndarray:
-    """Hermitian sample covariance Y Y^H / n_snapshots."""
-    y = _matrix(snapshots)
+def _covariance(y: np.ndarray) -> np.ndarray:
+    """`covariance` of a checked matrix.  It calls numpy only, so the
+    harness runs it on a noise worker thread."""
     r = y @ y.conj().T / y.shape[1]
     return 0.5 * (r + r.conj().T)
+
+
+def covariance(snapshots: np.ndarray) -> np.ndarray:
+    """Hermitian sample covariance Y Y^H / n_snapshots."""
+    return _covariance(_matrix(snapshots))
 
 
 def smoothed_covariance(snapshots: np.ndarray, window: int) -> np.ndarray:
@@ -136,8 +141,8 @@ def decompose_snapshots(snapshots: np.ndarray,
     Y = U S V^H: the covariance eigenvalues are S^2 / n_snapshots, padded
     with the structural zeros, and its eigenvectors are the columns of U.
     That skips the rank-deficient rows x rows covariance and its `eigh`.
-    A wide or square matrix takes the covariance `eigh`, which is the
-    cheaper of the two there.
+    A wide or square matrix (the 64 x 256 Doppler matrix) takes the
+    covariance `eigh`, which is the cheaper of the two there.
     """
     y = _matrix(snapshots)
     dim, n_snap = y.shape

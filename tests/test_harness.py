@@ -1,5 +1,6 @@
 """Sweep harness, result tables, config plumbing, and the CLI."""
 
+import copy
 import importlib
 import inspect
 import json
@@ -23,6 +24,7 @@ from jcs_music.harness import (ResultRow, ResultTable, resolution_constants,
 from jcs_music.music import music_range
 from jcs_music.scenario import MAX_SCATTERERS, generate_scenario
 from jcs_music.steering import Angle2D
+from jcs_music.subspace import covariance
 
 
 def _table():
@@ -326,6 +328,32 @@ def test_validate_theory_runs_the_trial_chain():
 
 # -- trial pipeline ------------------------------------------------------
 
+@pytest.mark.parametrize("numerology", ["default", "small"])
+def test_estimated_beam_draw_carries_the_echo_covariance(numerology, ctx):
+    """An estimated-beam draw holds, bit for bit, the noisy echo drawn in
+    one call on a copy of the trial's generator and the `covariance` of
+    its (PQ, N_c*M_s) matrix; both generators end in the same state."""
+    c = ctx if numerology == "default" else _small_ctx()
+    scen_seed, rng = trial_rng(7, 0, 0)
+    ref_rng = copy.deepcopy(rng)
+    draw = harness.draw_sensing_trial(c, 10.0, scen_seed, rng)
+
+    scenario = harness._scene(c, scen_seed)
+    beams = channel.build_beamformers(scenario, c.array)
+    echo = channel.synthesize_echo(scenario, draw.wave, c.array, beams,
+                                   c.noise, ref_rng,
+                                   fading=c.config["scenario"]["fading"],
+                                   c=c.c)
+    y = echo.snapshots
+    assert draw.h_bar is None
+    assert np.array_equal(draw.symbols, echo.symbols)
+    assert np.array_equal(draw.snapshots, y)
+    assert draw.covariance.shape == (c.array.size,) * 2
+    assert np.array_equal(draw.covariance,
+                          covariance(y.reshape(c.array.size, -1)))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 LAYER_MODULES = ("harness", "scenario", "channel", "qam", "subspace",
                  "steering", "music", "fft_baseline", "csi", "theory")
 
@@ -438,9 +466,10 @@ def test_layer_functions_run_on_the_calling_thread_only(monkeypatch):
     assert {"channel.synthesize_echo", "music.music_aoa", "csi.kalman_enhance",
             "harness.sensing_trial", "harness.ber_trial",
             "theory.perturbation_report"} <= called
-    # one fill per plane for the 12 fixed-beam trials, per row for the 4
-    # estimated-beam trials (2 * PQ rows of the 4 x 4 array)
-    assert len(fills) == 12 * 2 + 4 * 2 * 16
+    # one fill per plane for the 12 fixed-beam trials, per block of
+    # NOISE_BLOCK_ROWS = 8 rows for the 4 estimated-beam trials (2 * 2
+    # blocks of the 16 rows of the 4 x 4 array)
+    assert len(fills) == 12 * 2 + 4 * 2 * 2
     assert all(t is not threading.main_thread() for t in fills)
 
 
@@ -651,7 +680,10 @@ def _cli_exit(argv):
     (["sweep-ber", "--sinr", "inf"], "--sinr"),
     (["validate-theory", "--draws", "0"], "--draws"),
     (["spectrum", "--pad", "0"], "--pad"),
-])
+    (["sweep-ber", "--mue-x", "nan"], "--mue-x"),
+] + [([command, "--seed", "-1"], "--seed")
+     for command in ("sweep-mse", "sweep-ber", "spectrum", "crb",
+                     "validate-theory")])
 def test_cli_rejects_bad_flags(argv, named, tmp_path, capsys):
     out = tmp_path / "res"
     assert _cli_exit(argv + ["--out", str(out)]) == 2

@@ -245,11 +245,12 @@ def test_newton_on_music_objectives_equals_oracle(wave, array, noise, rng,
     echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng, c=C)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = echo.beamform(w0) / echo.symbols
+    y = echo.snapshots.reshape(array.size, -1)
 
     def estimates():
         return (music_range(h_bar, wave, c=C)[0]
                 + music_doppler(h_bar, wave)[0]
-                + music_aoa(echo.snapshots, array)[0])
+                + music_aoa(covariance(y), array)[0])
 
     new = estimates()
     monkeypatch.setattr(music, "newton_refine_1d", _newton_oracle)
@@ -365,7 +366,8 @@ def test_fft_coarse_grid_matches_steering_spectrum(wave, rng):
 
 def test_noiseless_aoa_recovers_truth(wave, array, noise):
     scen, _, echo = _noiseless_echo(5, wave, array, noise, n_scatterers=1)
-    ests, dec = music_aoa(echo.snapshots, array, n_sources=scen.n_paths)
+    y = echo.snapshots.reshape(array.size, -1)
+    ests, dec = music_aoa(covariance(y), array, n_sources=scen.n_paths)
     assert len(ests) == 2
     for p in scen.paths:
         best = min(ests, key=lambda e: abs(float(e.value[0]) - p.aoa.azimuth)
@@ -423,11 +425,21 @@ def test_column_permutation_invariance(wave, array, noise, rng):
     echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng, c=C)
     y = echo.snapshots.reshape(array.size, -1)
     perm = rng.permutation(y.shape[1])
-    e1, _ = music_aoa(y, array)
-    e2, _ = music_aoa(y[:, perm], array)
+    e1, _ = music_aoa(covariance(y), array)
+    e2, _ = music_aoa(covariance(y[:, perm]), array)
     v1 = sorted(tuple(np.round(e.value, 10)) for e in e1)
     v2 = sorted(tuple(np.round(e.value, 10)) for e in e2)
     assert v1 == v2
+
+
+def test_music_aoa_rejects_what_is_not_the_array_covariance(array):
+    """music_aoa takes the PQ x PQ covariance: the echo matrix or tensor
+    it took before is refused, as is a covariance of another array."""
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((array.size, 3 * array.size)) + 0j
+    for bad in (y, y.reshape(array.size, 3, -1), covariance(y[1:])):
+        with pytest.raises(ValueError, match="covariance"):
+            music_aoa(bad, array)
 
 
 def test_beamform_rejects_zero_symbols(array):
@@ -486,7 +498,8 @@ def test_doppler_spectrum_window_variant(wave, array, noise):
 
 def test_estimate_fields_populated(wave, array, noise):
     scen, _, echo = _noiseless_echo(13, wave, array, noise, n_scatterers=0)
-    ests, dec = music_aoa(echo.snapshots, array, n_sources=1)
+    y = echo.snapshots.reshape(array.size, -1)
+    ests, dec = music_aoa(covariance(y), array, n_sources=1)
     assert dec.source_count == 1
     est = ests[0]
     assert isinstance(est, SpectrumEstimate)

@@ -339,7 +339,8 @@ def test_noise_fills_equal_the_drawn_echo(numerology, small_wave,
     """The fills that draw the noise of a noiseless echo and reduce it as
     it is drawn give, bit for bit, the noisy echo drawn in one call: the
     beam from two planes drawn in turn into one buffer, the tensor from
-    rows drawn into its first row.  The generator ends in the same state."""
+    blocks of rows drawn into its first rows.  The generator ends in the
+    same state."""
     wave, array = _numerology(numerology, small_wave, small_array)
     wave = wave.with_power(2.5e5)
     scen = generate_scenario(11, n_scatterers=2)
