@@ -225,18 +225,19 @@ class EchoRealization:
         return y.reshape(self.symbols.shape)
 
 
-def path_phases(scenario: Scenario, wave: WaveformConfig, l: int,
-                c: float = SPEED_OF_LIGHT) -> np.ndarray:
-    """Echo phase ramp e^{-j2 pi n df tau} e^{+j2 pi m T f}, (N_c, M_s)."""
-    p = scenario.paths[l]
-    lam = wave.wavelength(c)
-    tau = 2.0 * p.d1 / c
-    fd = 2.0 * p.v1 / lam
+def _ramp(wave: WaveformConfig, tau: float, fd: float) -> np.ndarray:
+    """Phase ramp e^{-j2 pi n df tau} e^{+j2 pi m T fd}, (N_c, M_s)."""
     n = np.arange(wave.n_subcarriers)
     m = np.arange(wave.n_symbols)
-    rng_ph = np.exp(-2j * np.pi * n * wave.subcarrier_spacing * tau)
-    dop_ph = np.exp(2j * np.pi * m * wave.symbol_duration * fd)
-    return np.outer(rng_ph, dop_ph)
+    return np.outer(np.exp(-2j * np.pi * n * wave.subcarrier_spacing * tau),
+                    np.exp(2j * np.pi * m * wave.symbol_duration * fd))
+
+
+def path_phases(scenario: Scenario, wave: WaveformConfig, l: int,
+                c: float = SPEED_OF_LIGHT) -> np.ndarray:
+    """Echo phase ramp of path l: round-trip delay and Doppler."""
+    p = scenario.paths[l]
+    return _ramp(wave, 2.0 * p.d1 / c, 2.0 * p.v1 / wave.wavelength(c))
 
 
 def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
@@ -272,6 +273,12 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
                              noise.echo_noise_std)
     return EchoRealization(steering=steering, factors=factors, noise_draw=z,
                            symbols=symbols)
+
+
+def _complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
+    """CN(0, var) draws: the real parts, then the imaginary parts."""
+    std = np.sqrt(var / 2.0)
+    return std * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 # Rows of echo noise an estimated-beam fill draws at a time, into the
@@ -330,35 +337,19 @@ class CommRealization:
 
 def comm_csi(scenario: Scenario, wave: WaveformConfig, beams: Beamformers,
              reflections: np.ndarray | None = None,
-             rng: np.random.Generator | None = None,
-             fading: str = "phase",
              c: float = SPEED_OF_LIGHT) -> np.ndarray:
     """True scalar channel h_C[n, m] seen through the aligned beams."""
-    nc, ms = wave.n_subcarriers, wave.n_symbols
     lam = wave.wavelength(c)
-    n = np.arange(nc)
-    m = np.arange(ms)
-
     p0 = scenario.mue_path
-    tau0 = p0.d1 / c
-    fd0 = p0.v1 / lam
     h = (comm_los_amplitude(scenario, wave, c) * beams.tx_gains[0]
-         * np.outer(np.exp(-2j * np.pi * n * wave.subcarrier_spacing * tau0),
-                    np.exp(2j * np.pi * m * wave.symbol_duration * fd0)))
-
-    if scenario.n_paths > 1:
-        if reflections is None:
-            if rng is None:
-                raise ValueError("need reflections or an rng for NLoS paths")
-            reflections = draw_reflections(scenario, rng, fading)
-        for l in range(1, scenario.n_paths):
-            p = scenario.paths[l]
-            tau = (p.d1 + p.d2) / c
-            fd = (p.v1 + p.v2) / lam
-            b = comm_nlos_amplitude(scenario, wave, l, c) * reflections[l]
-            h += (b * beams.tx_gains[l]
-                  * np.outer(np.exp(-2j * np.pi * n * wave.subcarrier_spacing * tau),
-                             np.exp(2j * np.pi * m * wave.symbol_duration * fd)))
+         * _ramp(wave, p0.d1 / c, p0.v1 / lam))
+    if scenario.n_paths > 1 and reflections is None:
+        raise ValueError("NLoS paths need the frame's reflection factors")
+    for l in range(1, scenario.n_paths):
+        p = scenario.paths[l]
+        b = comm_nlos_amplitude(scenario, wave, l, c) * reflections[l]
+        h += (b * beams.tx_gains[l]
+              * _ramp(wave, (p.d1 + p.d2) / c, (p.v1 + p.v2) / lam))
     return h
 
 
@@ -366,23 +357,21 @@ def synthesize_comm(scenario: Scenario, wave: WaveformConfig,
                     beams: Beamformers, noise: NoiseConfig,
                     rng: np.random.Generator,
                     symbols: np.ndarray | None = None,
-                    labels: np.ndarray | None = None,
                     reflections: np.ndarray | None = None,
-                    fading: str = "phase",
                     c: float = SPEED_OF_LIGHT,
                     noiseless: bool = False) -> CommRealization:
-    """Received communication samples y_C at the MUE."""
+    """Received communication samples y_C at the MUE.  Given symbols (a
+    preamble) carry zero labels; otherwise random symbols are drawn."""
     nc, ms = wave.n_subcarriers, wave.n_symbols
     if symbols is None:
         symbols, labels = qam.random_symbols((nc, ms), wave.qam_order, rng)
-    elif labels is None:
+    else:
         labels = np.zeros_like(symbols, dtype=int)
-    h = comm_csi(scenario, wave, beams, reflections, rng, fading, c)
+    h = comm_csi(scenario, wave, beams, reflections, c)
     if noiseless:
         nse = np.zeros((nc, ms), dtype=complex)
     else:
-        std = np.sqrt(noise.total_comm_var / 2.0)
-        nse = std * (rng.normal(size=(nc, ms)) + 1j * rng.normal(size=(nc, ms)))
+        nse = _complex_normal(rng, (nc, ms), noise.total_comm_var)
     samples = np.sqrt(wave.tx_power) * symbols * h + nse
     return CommRealization(samples=samples, csi=h, symbols=symbols,
                            labels=labels)

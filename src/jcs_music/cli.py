@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="single-shot range/velocity spectra "
                                         "with PSLR")
-    _add_common(p)
+    _add_common(p, sinr_help="S-SINR in dB, one value (default -20)")
     p.add_argument("--pad", type=_int_at_least(1), default=8,
                    help="FFT zero-pad factor")
     p.add_argument("--scatterers", type=int, default=None,
@@ -80,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-theory", help="simulated MSEs next to "
                                                "perturbation predictions")
-    _add_common(p, sinr_help="S-SINR grid in dB (default 0 5 10; the "
-                             "config grid is not read)")
+    _add_common(p)
     p.add_argument("--draws", type=_int_at_least(1), default=1000,
                    help="noise draws for the analytic prediction")
 
@@ -94,6 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "spectrum" and len(args.sinr or ()) > 1:
+        print("error: --sinr: spectrum takes one value", file=sys.stderr)
+        return 2
     # config flags are checked as the config keys they stand for
     sweep, scenario = {}, {}
     if getattr(args, "trials", None) is not None:
@@ -118,25 +120,18 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "sweep-mse":
-            table = harness.run_sweep_mse(ctx, sinr_grid=args.sinr,
-                                          trials=args.trials,
-                                          master_seed=args.seed,
+            table = harness.run_sweep_mse(ctx, master_seed=args.seed,
                                           use_true_beam=args.true_beam)
         elif args.command == "sweep-ber":
             table = harness.run_sweep_ber(ctx, csinr_grid=args.sinr,
-                                          trials=args.trials,
                                           master_seed=args.seed,
                                           mue_x=args.mue_x,
                                           qam_order=args.qam_order)
         elif args.command == "crb":
-            table = harness.crb_table(ctx, sinr_grid=args.sinr,
-                                      master_seed=args.seed)
+            table = harness.crb_table(ctx, master_seed=args.seed)
         elif args.command == "validate-theory":
-            kwargs = {"trials": args.trials, "master_seed": args.seed,
-                      "n_draws": args.draws}
-            if args.sinr:
-                kwargs["sinr_grid"] = args.sinr
-            table = harness.validate_theory(ctx, **kwargs)
+            table = harness.validate_theory(ctx, master_seed=args.seed,
+                                            n_draws=args.draws)
         elif args.command == "spectrum":
             sinr = args.sinr[0] if args.sinr else -20.0
             snap = harness.spectrum_snapshot(ctx, sinr_db=sinr,

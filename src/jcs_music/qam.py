@@ -50,14 +50,14 @@ def random_symbols(shape, order: int, rng: np.random.Generator):
     return constellation(order)[labels], labels
 
 
-def preamble(n_subcarriers: int, n_symbols: int, order: int = 4) -> np.ndarray:
+def preamble(n_subcarriers: int, n_symbols: int) -> np.ndarray:
     """Deterministic unit-modulus-envelope preamble grid.
 
-    Built from a fixed-seed QAM draw so it is constant across calls and
+    Built from a fixed-seed 4-QAM draw so it is constant across calls and
     processes but has the same statistics as data symbols.
     """
     rng = np.random.default_rng(0x9E3779B9)
-    sym, _ = random_symbols((n_subcarriers, n_symbols), order, rng)
+    sym, _ = random_symbols((n_subcarriers, n_symbols), 4, rng)
     return sym
 
 

@@ -38,16 +38,15 @@ SCATTER_SPEED_MAX = 60.0
 MAX_SCATTERERS = 5
 
 
-def rotation_matrix(spin_deg: float = ARRAY_SPIN_DEG,
-                    downtilt_deg: float = ARRAY_DOWNTILT_DEG) -> np.ndarray:
+def rotation_matrix() -> np.ndarray:
     """Local-to-global rotation of the BS array frame.
 
     The local z axis (boresight) starts pointing up; a y-rotation of
-    90 deg plus downtilt lays it toward the horizon and below, then the
-    z-spin swings it in azimuth.
+    90 deg plus ARRAY_DOWNTILT_DEG lays it toward the horizon and below,
+    then the z-spin by ARRAY_SPIN_DEG swings it in azimuth.
     """
-    ty = np.deg2rad(90.0 + downtilt_deg)
-    tz = np.deg2rad(spin_deg)
+    ty = np.deg2rad(90.0 + ARRAY_DOWNTILT_DEG)
+    tz = np.deg2rad(ARRAY_SPIN_DEG)
     ry = np.array([[np.cos(ty), 0.0, np.sin(ty)],
                    [0.0, 1.0, 0.0],
                    [-np.sin(ty), 0.0, np.cos(ty)]])

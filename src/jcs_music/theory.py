@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, qam
-from .channel import Beamformers, NoiseConfig, WaveformConfig
+from .channel import Beamformers, NoiseConfig, WaveformConfig, _complex_normal
 from .constants import SPEED_OF_LIGHT
 from .scenario import Scenario
-from .steering import (ArrayConfig, doppler_steering_derivs,
+from .steering import (ArrayConfig, _element_indices, doppler_steering_derivs,
                        range_steering_derivs, spatial_steering,
                        spatial_steering_derivs)
 
@@ -52,11 +52,6 @@ def inverse_symbol_power(order: int) -> float:
     """E[1 / |d|^2] over a uniform unit-energy QAM draw."""
     pts = qam.constellation(order)
     return float(np.mean(1.0 / np.abs(pts) ** 2))
-
-
-def _complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
-    std = np.sqrt(var / 2.0)
-    return std * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 def _effective_rank(s: np.ndarray, n_rows: int, n_cols: int,
@@ -227,8 +222,7 @@ def crb(wave: WaveformConfig, array: ArrayConfig, sinr_db: float,
     c_r = c ** 2 / (32.0 * np.pi ** 2 * gamma * ms * pq * n2)
     c_v = lam ** 2 / (32.0 * np.pi ** 2 * gamma * nc * pq * m2)
 
-    p = np.repeat(np.arange(array.rows), array.cols)
-    q = np.tile(np.arange(array.cols), array.rows)
+    p, q = _element_indices(array)
     se, ce = np.sin(elevation), np.cos(elevation)
     sa, ca = np.sin(azimuth), np.cos(azimuth)
     w_az = np.sum((q * ca * se - p * sa * se) ** 2)

@@ -97,6 +97,19 @@ def test_resolution_constants_legacy(ctx):
                                      rel=1e-12)
 
 
+def test_resolution_constants_with_a_guard_interval():
+    """The velocity bin is half a wavelength per Doppler bin of the FFT
+    baseline, whose symbols last 1/df plus the guard interval."""
+    gctx = bind(load_config(
+        overrides={"waveform": {"guard_interval": 0.5e-6}}))
+    dr, dv = resolution_constants(gctx)
+    t_sym = 1.0 / 480e3 + 0.5e-6
+    lam = 299792458.0 / 63e9
+    assert dv == pytest.approx(lam / (2 * 64 * t_sym), rel=1e-12)
+    assert dv == pytest.approx(14.39, abs=0.01)
+    assert dr == pytest.approx(299792458.0 / (2 * 256 * 480e3), rel=1e-12)
+
+
 # -- helpers -------------------------------------------------------------
 
 def test_principal_doppler_wrap():
@@ -683,7 +696,9 @@ def _cli_exit(argv):
     (["sweep-ber", "--mue-x", "nan"], "--mue-x"),
 ] + [([command, "--seed", "-1"], "--seed")
      for command in ("sweep-mse", "sweep-ber", "spectrum", "crb",
-                     "validate-theory")])
+                     "validate-theory")] + [
+    (["spectrum", "--sinr", "0", "10"], "--sinr"),
+])
 def test_cli_rejects_bad_flags(argv, named, tmp_path, capsys):
     out = tmp_path / "res"
     assert _cli_exit(argv + ["--out", str(out)]) == 2
@@ -718,6 +733,21 @@ def test_cli_validate_theory_reads_the_config_trials(tmp_path):
     assert {r.trials for r in table.filter(series="music").rows} == {2}
 
 
+def test_cli_validate_theory_reads_the_config_grid(tmp_path):
+    """With no --sinr, validate-theory runs the config's sweep.sinr_grid_db."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"array": {"rows": 4, "cols": 4},
+                               "waveform": {"n_subcarriers": 64,
+                                            "n_symbols": 32},
+                               "sweep": {"trials": 1,
+                                         "sinr_grid_db": [-5.0]}}))
+    out = tmp_path / "res"
+    assert cli.main(["validate-theory", "--config", str(cfg),
+                     "--draws", "20", "--out", str(out)]) == 0
+    table = ResultTable.from_csv((out / "table.csv").read_text())
+    assert table.rows and {r.sinr_db for r in table.rows} == {-5.0}
+
+
 def test_cli_out_on_a_file_is_an_error(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("keep")
@@ -738,7 +768,9 @@ print(harness.run_sweep_ber(ctx, csinr_grid=[20.0], trials=2,
 
 
 def test_sweeps_identical_under_one_and_two_blas_threads():
-    """The BLAS thread count is set in each child's environment only."""
+    """The sweeps' CSV tables, at their 9 significant digits, agree under
+    one and two BLAS threads; a per-trial value can differ in its last
+    bit.  The BLAS thread count is set in each child's environment only."""
     src = str(Path(jcs_music.__file__).resolve().parents[1])
     out = []
     for threads in ("1", "2"):
