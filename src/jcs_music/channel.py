@@ -13,6 +13,14 @@ from .scenario import Scenario
 from .steering import Angle2D, ArrayConfig, spatial_steering
 
 
+def _check(*rules) -> None:
+    """Raise ValueError with the message of the first failing (ok, message)
+    rule; each message starts with its field's name."""
+    for ok, message in rules:
+        if not ok:
+            raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class WaveformConfig:
     """OFDM numerology plus transmit power."""
@@ -26,10 +34,13 @@ class WaveformConfig:
     tx_power: float = 1.0
 
     def __post_init__(self):
-        if self.qam_order not in (4, 16, 64):
-            raise ValueError("qam_order must be 4, 16, or 64")
-        if self.subcarrier_spacing <= 0 or self.guard_interval < 0:
-            raise ValueError("invalid numerology")
+        _check((self.n_subcarriers >= 2, "n_subcarriers: must be >= 2"),
+               (self.n_symbols >= 2, "n_symbols: must be >= 2"),
+               (self.subcarrier_spacing > 0, "subcarrier_spacing: must be > 0"),
+               (self.guard_interval >= 0, "guard_interval: must be >= 0"),
+               (self.carrier_freq > 0, "carrier_freq: must be > 0"),
+               (self.qam_order in qam.ORDERS, "qam_order: must be one of "
+                + ", ".join(map(str, qam.ORDERS))))
 
     @property
     def symbol_duration(self) -> float:
@@ -53,6 +64,9 @@ class NoiseConfig:
     noise_var: float = 4.9177e-12
     inr_sense_db: float = 3.0
     inr_comm_db: float = 3.0
+
+    def __post_init__(self):
+        _check((self.noise_var > 0, "noise_var: must be > 0"))
 
     @property
     def interference_power_sense(self) -> float:

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import harness
+from . import harness, qam
 from .config import ConfigError, bind, load_config
 
 
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                 sinr_help="C-SINR grid in dB (default 10 to 30 in 5 dB steps)")
     p.add_argument("--mue-x", type=_finite_float, default=75.0,
                    help="pinned user x coordinate")
-    p.add_argument("--qam-order", type=int, default=64, choices=(4, 16, 64))
+    p.add_argument("--qam-order", type=int, default=64, choices=qam.ORDERS)
 
     p = sub.add_parser("spectrum", help="single-shot range/velocity spectra "
                                         "with PSLR")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -19,19 +19,10 @@ SCHEMA_VERSION = 1
 DEFAULTS: dict[str, Any] = {
     "schema": SCHEMA_VERSION,
     "array": {"rows": 8, "cols": 8},
-    "waveform": {
-        "n_subcarriers": 256,
-        "n_symbols": 64,
-        "subcarrier_spacing": 480e3,
-        "guard_interval": 0.0,
-        "carrier_freq": 63e9,
-        "qam_order": 4,
-    },
-    "noise": {
-        "noise_var": 4.9177e-12,
-        "inr_sense_db": 3.0,
-        "inr_comm_db": 3.0,
-    },
+    # the shipped numerology and noise are the objects' field defaults
+    "waveform": {f.name: f.default for f in fields(WaveformConfig)
+                 if f.name != "tx_power"},
+    "noise": {f.name: f.default for f in fields(NoiseConfig)},
     "scenario": {
         "n_scatterers": 2,
         "reflect_var": 1.0,
@@ -108,22 +99,12 @@ def _validate(cfg: dict) -> None:
     _check_types(cfg)
     require(cfg["schema"] == SCHEMA_VERSION,
             f"schema: expected version {SCHEMA_VERSION}")
-    arr = cfg["array"]
-    require(int(arr["rows"]) >= 1 and int(arr["cols"]) >= 1,
-            "array.rows/cols: must be >= 1")
-    wf = cfg["waveform"]
-    require(int(wf["n_subcarriers"]) >= 2, "waveform.n_subcarriers: must be >= 2")
-    require(int(wf["n_symbols"]) >= 2, "waveform.n_symbols: must be >= 2")
-    require(wf["subcarrier_spacing"] > 0, "waveform.subcarrier_spacing: must be > 0")
-    require(wf["guard_interval"] >= 0, "waveform.guard_interval: must be >= 0")
-    require(wf["carrier_freq"] > 0, "waveform.carrier_freq: must be > 0")
-    require(int(wf["qam_order"]) in (4, 16, 64),
-            "waveform.qam_order: must be one of 4, 16, 64")
-    require(cfg["noise"]["noise_var"] > 0, "noise.noise_var: must be > 0")
+    _objects(cfg, speed_of_light(cfg["legacy_c"]))
     sc = cfg["scenario"]
     require(0 <= int(sc["n_scatterers"]) <= MAX_SCATTERERS,
             f"scenario.n_scatterers: must be in [0, {MAX_SCATTERERS}], "
             f"got {sc['n_scatterers']}")
+    require(sc["reflect_var"] > 0, "scenario.reflect_var: must be > 0")
     require(sc["fading"] in ("phase", "rayleigh"),
             "scenario.fading: must be 'phase' or 'rayleigh'")
     sw = cfg["sweep"]
@@ -159,22 +140,26 @@ class RunContext:
     c: float
 
 
+def _objects(cfg: dict, c: float):
+    """(ArrayConfig, WaveformConfig, NoiseConfig) of a config, each value
+    cast to the type of its default.  The objects check their own fields;
+    a failed check is raised as a ConfigError under its section's key."""
+    def build(section: str, cls, **extra):
+        values = {k: type(DEFAULTS[section][k])(v)
+                  for k, v in cfg[section].items()}
+        try:
+            return cls(**values, **extra)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from None
+
+    wave = build("waveform", WaveformConfig)
+    lam = wave.wavelength(c)
+    array = build("array", ArrayConfig, spacing=lam / 2.0, wavelength=lam)
+    return array, wave, build("noise", NoiseConfig)
+
+
 def bind(cfg: dict, legacy_c: bool | None = None) -> RunContext:
     legacy = cfg["legacy_c"] if legacy_c is None else legacy_c
     c = speed_of_light(legacy)
-    wf = cfg["waveform"]
-    wave = WaveformConfig(n_subcarriers=int(wf["n_subcarriers"]),
-                          n_symbols=int(wf["n_symbols"]),
-                          subcarrier_spacing=float(wf["subcarrier_spacing"]),
-                          guard_interval=float(wf["guard_interval"]),
-                          carrier_freq=float(wf["carrier_freq"]),
-                          qam_order=int(wf["qam_order"]))
-    arr = cfg["array"]
-    array = ArrayConfig(rows=int(arr["rows"]), cols=int(arr["cols"]),
-                        spacing=wave.wavelength(c) / 2.0,
-                        wavelength=wave.wavelength(c))
-    nz = cfg["noise"]
-    noise = NoiseConfig(noise_var=float(nz["noise_var"]),
-                        inr_sense_db=float(nz["inr_sense_db"]),
-                        inr_comm_db=float(nz["inr_comm_db"]))
+    array, wave, noise = _objects(cfg, c)
     return RunContext(config=cfg, array=array, wave=wave, noise=noise, c=c)

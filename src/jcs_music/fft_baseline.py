@@ -79,20 +79,14 @@ def pslr_db(profile: np.ndarray) -> float:
     k = int(np.argmax(p))
     in_main = np.zeros(n, dtype=bool)
     in_main[k] = True
-    i = k
-    for _ in range(n - 1):
-        j = (i - 1) % n
-        if p[j] >= p[i] or in_main[j]:
-            break
-        in_main[j] = True
-        i = j
-    i = k
-    for _ in range(n - 1):
-        j = (i + 1) % n
-        if p[j] >= p[i] or in_main[j]:
-            break
-        in_main[j] = True
-        i = j
+    for step in (-1, 1):
+        i = k
+        for _ in range(n - 1):
+            j = (i + step) % n
+            if p[j] >= p[i] or in_main[j]:
+                break
+            in_main[j] = True
+            i = j
     side = p[~in_main]
     if len(side) == 0:
         return float("inf")

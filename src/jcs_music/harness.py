@@ -654,7 +654,8 @@ def emit_results(table: ResultTable, out_dir: str | Path,
     """Write the CSV and a companion plot script; returns written paths."""
     if not table.rows:
         metrics = ["azimuth_mse", "elevation_mse", "range_mse",
-                   "velocity_mse", "location_mse", "ber", "pslr"]
+                   "velocity_mse", "doppler_mse", "location_mse", "ber",
+                   "csi_mse", "pslr"]
         raise ValueError(
             "empty result table; available metrics: " + ", ".join(metrics))
     out = Path(out_dir)

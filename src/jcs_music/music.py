@@ -5,6 +5,7 @@ same ramp as a zero-padded DFT."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -80,45 +81,27 @@ def newton_refine_1d(x0: float | np.ndarray, derivs,
                             converged=converged)
 
 
-def _peaks_1d(spec: np.ndarray, n_peaks: int) -> np.ndarray:
-    """Indices of strict local maxima on a periodic grid, strongest first,
-    top n_peaks."""
-    left = np.roll(spec, 1)
-    right = np.roll(spec, -1)
-    mask = (spec > left) & (spec > right)
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        idx = np.array([int(np.argmax(spec))])
-    order = np.argsort(spec[idx])[::-1]
-    return idx[order][:n_peaks]
-
-
-def _peaks_2d(spec: np.ndarray, n_peaks: int):
-    """(i, j) indices of strict 8-neighbor local maxima, strongest first.
-
-    Axis 0 (azimuth) is treated circularly; axis 1 edges compare against
-    available neighbors only.
-    """
-    s = spec
-    best = np.full(s.shape, -np.inf)
-    for di in (-1, 0, 1):
-        shifted = np.roll(s, di, axis=0)
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            sh = np.roll(shifted, dj, axis=1)
-            if dj == 1:
-                sh[:, 0] = -np.inf
-            elif dj == -1:
-                sh[:, -1] = -np.inf
-            best = np.maximum(best, sh)
-    mask = s > best
-    ii, jj = np.nonzero(mask)
-    if len(ii) == 0:
-        flat = int(np.argmax(s))
-        ii, jj = np.array([flat // s.shape[1]]), np.array([flat % s.shape[1]])
-    order = np.argsort(s[ii, jj])[::-1]
-    return ii[order][:n_peaks], jj[order][:n_peaks]
+def _peaks(spec: np.ndarray, n_peaks: int, wrap: tuple[bool, ...]):
+    """Index arrays, one per axis, of the top n_peaks strict local maxima
+    over all 3^d - 1 neighbours, strongest first; the argmax alone if
+    there is none.  Axes marked in `wrap` are periodic; on the others an
+    edge point compares only against the neighbours it has."""
+    padded = spec
+    for axis, periodic in enumerate(wrap):
+        width = [(0, 0)] * spec.ndim
+        width[axis] = (1, 1)
+        padded = (np.pad(padded, width, mode="wrap") if periodic else
+                  np.pad(padded, width, constant_values=-np.inf))
+    best = np.full(spec.shape, -np.inf)
+    for shift in itertools.product((0, 1, 2), repeat=spec.ndim):
+        if shift != (1,) * spec.ndim:
+            best = np.maximum(best, padded[tuple(
+                slice(k, k + n) for k, n in zip(shift, spec.shape))])
+    idx = np.nonzero(spec > best)
+    if len(idx[0]) == 0:
+        idx = np.unravel_index([int(np.argmax(spec))], spec.shape)
+    order = np.argsort(spec[idx])[::-1][:n_peaks]
+    return tuple(i[order] for i in idx)
 
 
 @lru_cache(maxsize=8)
@@ -158,7 +141,7 @@ def music_aoa(cov: np.ndarray, array: ArrayConfig,
     f_grid = f_grid.reshape(len(az), len(el))
     spec = 1.0 / np.maximum(f_grid, 1e-300)
 
-    ii, jj = _peaks_2d(spec, dec.source_count)
+    ii, jj = _peaks(spec, dec.source_count, wrap=(True, False))
     scale = np.deg2rad(AOA_GRID_STEP_DEG)
     estimates = []
     for i, j in zip(ii, jj):
@@ -231,7 +214,7 @@ def _line_spectrum_music(snapshots: np.ndarray, n_grid: int, sign: int,
     """
     dec = decompose_snapshots(snapshots, n_sources=n_sources)
     spec = _ramp_grid_spectrum(dec.signal_basis, n_grid, sign)
-    idx = _peaks_1d(spec, dec.source_count)
+    idx, = _peaks(spec, dec.source_count, wrap=(True,))
     un = dec.noise_basis
     unh = un.conj().T
 

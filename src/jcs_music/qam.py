@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_ORDERS = (4, 16, 64)
+ORDERS = (4, 16, 64)
 
 
 def _gray(n: np.ndarray) -> np.ndarray:
@@ -13,8 +13,8 @@ def _gray(n: np.ndarray) -> np.ndarray:
 
 def _axis(order: int) -> tuple[int, int, float]:
     """PAM levels per axis, label bits per axis, and the level scale."""
-    if order not in _ORDERS:
-        raise ValueError(f"unsupported QAM order {order}; choose from {_ORDERS}")
+    if order not in ORDERS:
+        raise ValueError(f"unsupported QAM order {order}; choose from {ORDERS}")
     side = int(np.sqrt(order))
     # scale so that E|d|^2 = 1 over a uniform draw
     return side, side.bit_length() - 1, np.sqrt(2.0 * (side * side - 1) / 3.0)
@@ -79,7 +79,7 @@ def demodulate(received: np.ndarray, order: int) -> np.ndarray:
 
 
 # number of set bits in each 6-bit label, the widest supported order
-_POPCOUNT = np.array([bin(v).count("1") for v in range(max(_ORDERS))])
+_POPCOUNT = np.array([bin(v).count("1") for v in range(max(ORDERS))])
 
 
 def bit_errors(tx_labels: np.ndarray, rx_labels: np.ndarray) -> np.ndarray:

@@ -37,9 +37,9 @@ class ArrayConfig:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ValueError("array must have at least one element per axis")
+            raise ValueError("rows/cols: must be >= 1")
         if self.spacing <= 0 or self.wavelength <= 0:
-            raise ValueError("spacing and wavelength must be positive")
+            raise ValueError("spacing/wavelength: must be > 0")
 
     @property
     def size(self) -> int:

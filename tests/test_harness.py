@@ -71,7 +71,8 @@ def test_emit_results_empty_table_lists_metrics(tmp_path):
     with pytest.raises(ValueError) as exc:
         harness.emit_results(ResultTable([]), tmp_path)
     msg = str(exc.value)
-    for metric in ("range_mse", "velocity_mse", "ber", "pslr"):
+    for metric in ("range_mse", "velocity_mse", "ber", "pslr", "doppler_mse",
+                   "csi_mse"):
         assert metric in msg
 
 
@@ -581,6 +582,54 @@ def test_config_invalid_value(tmp_path):
 def test_config_rejects_mistyped_value(override, path):
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
         load_config(overrides=override)
+
+
+@pytest.mark.parametrize("section, cls, field, value, rule", [
+    ("waveform", channel.WaveformConfig, "n_subcarriers", 1, ">= 2"),
+    ("waveform", channel.WaveformConfig, "n_symbols", 1, ">= 2"),
+    ("waveform", channel.WaveformConfig, "subcarrier_spacing", 0.0, "> 0"),
+    ("waveform", channel.WaveformConfig, "guard_interval", -1e-9, ">= 0"),
+    ("waveform", channel.WaveformConfig, "carrier_freq", 0.0, "> 0"),
+    ("waveform", channel.WaveformConfig, "qam_order", 8, "one of 4, 16, 64"),
+    ("noise", channel.NoiseConfig, "noise_var", 0.0, "> 0"),
+])
+def test_objects_check_their_fields_and_config_names_the_key(
+        tmp_path, capsys, section, cls, field, value, rule):
+    """The library rejects a bad field itself; the config and the CLI
+    report that check under the field's key path."""
+    with pytest.raises(ValueError, match=f"^{field}: must be {rule}$"):
+        cls(**{field: value})
+    path = f"{section}.{field}: must be {rule}"
+    with pytest.raises(ConfigError, match="^" + path.replace(".", r"\.")):
+        load_config(overrides={section: {field: value}})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({section: {field: value}}))
+    assert cli.main(["resolution", "--config", str(p)]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_config_rejects_array_without_elements():
+    with pytest.raises(ConfigError, match=r"^array\.rows/cols: must be >= 1$"):
+        load_config(overrides={"array": {"cols": 0}})
+
+
+@pytest.mark.parametrize("reflect_var", [0.0, -1.0])
+def test_config_rejects_nonpositive_reflect_var(tmp_path, capsys, reflect_var):
+    """A zero or negative reflection variance leaves no echo to calibrate;
+    it is rejected as its config key before any sweep runs."""
+    override = {"scenario": {"reflect_var": reflect_var}}
+    with pytest.raises(ConfigError,
+                       match=r"^scenario\.reflect_var: must be > 0$"):
+        load_config(overrides=override)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(override))
+    out = tmp_path / "res"
+    for command in ("sweep-ber", "sweep-mse", "validate-theory"):
+        rc = cli.main([command, "--config", str(p), "--sinr", "10",
+                       "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        assert "scenario.reflect_var: must be > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unplaceable_scatterers_name_the_count(tmp_path, capsys):

@@ -8,7 +8,7 @@ from jcs_music import bind, channel, harness, load_config, music
 from jcs_music.channel import NoiseConfig, WaveformConfig
 from jcs_music.fft_baseline import pslr_db
 from jcs_music.music import (NEWTON_MAX_ITER, NEWTON_TOL, SpectrumEstimate,
-                             _newton_step, _peaks_1d, _ramp_grid_spectrum,
+                             _newton_step, _peaks, _ramp_grid_spectrum,
                              beamform_and_erase, doppler_spectrum, music_aoa,
                              music_doppler, music_range, newton_refine_1d,
                              range_spectrum)
@@ -274,8 +274,24 @@ def test_peaks_wrap_is_one_peak():
     """The range and Doppler grids are periodic: a maximum straddling the
     wrap (indices -1 and 0) is one peak, reported once."""
     spec = np.array([4.0, 2.0, 1.0, 0.5, 1.0, 2.0, 3.9])
-    np.testing.assert_array_equal(_peaks_1d(spec, 2), [0])
-    np.testing.assert_array_equal(_peaks_1d(spec[::-1], 2), [6])
+    np.testing.assert_array_equal(_peaks(spec, 2, (True,))[0], [0])
+    np.testing.assert_array_equal(_peaks(spec[::-1], 2, (True,))[0], [6])
+
+
+def test_peaks_2d_wraps_azimuth_only():
+    """The AoA grid is periodic in azimuth (axis 0) only: a maximum
+    straddling the azimuth wrap is one peak, while both elevation edges
+    keep their own peaks, each compared against the neighbours it has."""
+    spec = np.zeros((6, 4))
+    spec[0, 1], spec[-1, 1] = 5.0, 4.9    # one peak across the wrap
+    spec[3, -1], spec[3, 0] = 3.0, 2.9    # two peaks, one per edge
+    ii, jj = _peaks(spec, 5, wrap=(True, False))
+    assert list(zip(ii, jj)) == [(0, 1), (3, 3), (3, 0)]
+    ii, jj = _peaks(spec, 2, wrap=(True, False))
+    assert list(zip(ii, jj)) == [(0, 1), (3, 3)]
+    # a plateau has no strict maximum: the argmax stands in
+    ii, jj = _peaks(np.ones((6, 4)), 3, wrap=(True, False))
+    assert list(zip(ii, jj)) == [(0, 0)]
 
 
 # -- pseudo-spectra against the steering-matrix oracle -------------------

@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the full-precision outputs of every sweep.
+
+    python3 tools/output_digest.py [--seeds 0 5]
+
+A change meant to leave the outputs byte-identical must print the same
+digest as its parent on the same machine (run the script in a checkout of
+each).  Per master seed (default: 0) it hashes the rows of
+`run_sweep_mse` in both beam modes, `run_sweep_ber`, `validate_theory`
+(n_draws=200) and `crb_table`, each on 2 points x 3 trials, as
+(sinr, metric, series, value.hex(), ci.hex()); then the bytes of every
+`spectrum_snapshot` array and the hex of its scalars.
+
+BLAS is pinned to one thread before numpy is imported, and `jcs_music` is
+imported from this checkout's `src/`.  The digest depends on the machine's
+BLAS and CPU, so compare digests made on one machine only.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from jcs_music import bind, harness, load_config  # noqa: E402
+
+SENSE_GRID = [0.0, 10.0]
+LINK_GRID = [10.0, 20.0]
+TRIALS = 3
+
+
+def tables(ctx, seed: int):
+    """(name, ResultTable) of every sweep at one master seed."""
+    yield "mse-estimated", harness.run_sweep_mse(ctx, SENSE_GRID, TRIALS, seed)
+    yield "mse-true", harness.run_sweep_mse(ctx, SENSE_GRID, TRIALS, seed,
+                                            use_true_beam=True)
+    yield "ber", harness.run_sweep_ber(ctx, LINK_GRID, TRIALS, seed)
+    yield "theory", harness.validate_theory(ctx, SENSE_GRID, TRIALS, seed,
+                                            n_draws=200)
+    yield "crb", harness.crb_table(ctx, SENSE_GRID, seed)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0],
+                    help="master seeds to hash (default: 0)")
+    args = ap.parse_args()
+    t0 = time.perf_counter()
+    ctx = bind(load_config())
+    digest = hashlib.sha256()
+    for seed in args.seeds:
+        for name, table in tables(ctx, seed):
+            digest.update(f"{name} {seed}\n".encode())
+            for r in table.rows:
+                digest.update(repr((r.sinr_db, r.metric, r.series,
+                                    float(r.value).hex(),
+                                    float(r.ci).hex())).encode())
+        snap = harness.spectrum_snapshot(ctx, master_seed=seed)
+        for key in sorted(snap):
+            val = snap[key]
+            digest.update(key.encode())
+            digest.update(val.tobytes() if isinstance(val, np.ndarray)
+                          else float(val).hex().encode())
+    print(f"{digest.hexdigest()}  seeds {' '.join(map(str, args.seeds))}, "
+          f"{time.perf_counter() - t0:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
