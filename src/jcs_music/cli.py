@@ -64,8 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, sinr_type=_finite_float,
                 sinr_help="C-SINR grid in dB (default 10 to 30 in 5 dB steps)")
     p.add_argument("--mue-x", type=_finite_float, default=75.0,
-                   help="pinned user x coordinate")
-    p.add_argument("--qam-order", type=int, default=64, choices=qam.ORDERS)
+                   help="pinned user x coordinate of the link sweep "
+                        "(scenario.mue_x sets the sensing sweeps only)")
+    p.add_argument("--qam-order", type=int, default=64, choices=qam.ORDERS,
+                   help="QAM order of the link sweep (waveform.qam_order "
+                        "sets the sensing sweeps only)")
 
     p = sub.add_parser("spectrum", help="single-shot range/velocity spectra "
                                         "with PSLR")

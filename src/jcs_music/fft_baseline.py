@@ -19,7 +19,6 @@ from .constants import SPEED_OF_LIGHT
 
 @dataclass(frozen=True)
 class PeriodogramResult:
-    magnitude: np.ndarray          # (range bins, doppler bins)
     peak_range_bin: int
     peak_doppler_bin: int
     range_rt: float                # on-grid round-trip range, m
@@ -48,15 +47,14 @@ def periodogram_map(h_bar: np.ndarray, pad: int = 1) -> np.ndarray:
 
 def fft_range_doppler(h_bar: np.ndarray, wave: WaveformConfig,
                       c: float = SPEED_OF_LIGHT) -> PeriodogramResult:
-    """Peak-bin range/Doppler estimate plus the unpadded map."""
+    """Peak-bin range/Doppler estimate on the unpadded map."""
     mag = periodogram_map(h_bar)
     kr, kd = np.unravel_index(int(np.argmax(mag)), mag.shape)
     dr = range_bin_width_rt(wave, c)
     df = doppler_bin_width(wave)
     r_rt = kr * dr
     fd = kd * df
-    return PeriodogramResult(magnitude=mag,
-                             peak_range_bin=int(kr), peak_doppler_bin=int(kd),
+    return PeriodogramResult(peak_range_bin=int(kr), peak_doppler_bin=int(kd),
                              range_rt=float(r_rt), doppler=float(fd),
                              distance=float(r_rt / 2.0),
                              range_bin_width=dr, doppler_bin_width=df)

@@ -1,6 +1,8 @@
 """MUSIC estimators: 2D AoA search, per-beam symbol erasure, and one
-line-spectrum core for range and Doppler, each a coarse-grid search plus
-Newton refinement; the plotted range and Doppler pseudo-spectra sample the
+line-spectrum core for range and Doppler.  Each estimator searches a
+coarse grid of the pseudo-spectrum 1/(n - ||U_s^H a||^2) and refines its
+strongest peaks by Newton descent on the one noise-subspace objective
+||U_n^H a(x)||^2; the plotted range and Doppler pseudo-spectra sample the
 same ramp as a zero-padded DFT."""
 
 from __future__ import annotations
@@ -104,6 +106,39 @@ def _peaks(spec: np.ndarray, n_peaks: int, wrap: tuple[bool, ...]):
     return tuple(i[order] for i in idx)
 
 
+def _subspace_objective(noise_basis: np.ndarray, steer):
+    """derivs(x) = (f, gradient, Hessian) of f(x) = ||U_n^H a(x)||^2 for
+    steer(x) = (a, a', a''), a' of shape (n,) or (n, d), a'' (n,) or
+    (n, d, d).  With P = U_n U_n^H, g = 2 Re(a'^T conj(P a)) and
+    H = 2 Re(a''^T conj(P a) + a'^T conj(P a')) for either shape."""
+    un, unh = noise_basis, noise_basis.conj().T
+
+    def derivs(x):
+        a, a1, a2 = steer(x)
+        cw = (un @ (unh @ a)).conj()
+        f = float(np.real(a @ cw))
+        g = 2.0 * np.real(a1.T @ cw)
+        h = 2.0 * np.real(a2.T @ cw + a1.T @ (un @ (unh @ a1)).conj())
+        return f, g, h
+
+    return derivs
+
+
+def _refine_peaks(dec: SubspaceDecomposition, spec: np.ndarray, wrap,
+                  start, steer, scale: float) -> list[SpectrumEstimate]:
+    """Newton descent of the noise-subspace objective of steer from
+    start(*index) of each of the dec.source_count strongest peaks of spec."""
+    derivs = _subspace_objective(dec.noise_basis, steer)
+    return [newton_refine_1d(start(*idx), derivs, scale)
+            for idx in zip(*_peaks(spec, dec.source_count, wrap))]
+
+
+def _pseudo_spectrum(proj: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """1/||U_n^H a||^2 = 1/(n - ||U_s^H a||^2) of unit-modulus steering
+    vectors of length n, from the projections U_s^H a along `axis`."""
+    return 1.0 / np.maximum(n - np.sum(np.abs(proj) ** 2, axis=axis), 1e-300)
+
+
 @lru_cache(maxsize=8)
 def _aoa_grid(rows: int, cols: int, spacing: float, wavelength: float):
     """Coarse AoA grid and its steering matrix, cached per array config."""
@@ -129,47 +164,19 @@ def music_aoa(cov: np.ndarray, array: ArrayConfig,
         raise ValueError(f"cov must be the {array.size} x {array.size} "
                          f"array covariance, got shape {np.shape(cov)}")
     dec = decompose(cov, max_rank=array.size, n_sources=n_sources)
-    us = dec.signal_basis
-    un = dec.noise_basis
-
     az, el, a_grid = _aoa_grid(array.rows, array.cols, array.spacing,
                                array.wavelength)
-    # f = ||a||^2 - ||U_s^H a||^2; signal-subspace form is cheap when
-    # the source count is small
-    proj = us.conj().T @ a_grid
-    f_grid = (array.size - np.sum(np.abs(proj) ** 2, axis=0))
-    f_grid = f_grid.reshape(len(az), len(el))
-    spec = 1.0 / np.maximum(f_grid, 1e-300)
+    spec = _pseudo_spectrum(dec.signal_basis.conj().T @ a_grid, array.size,
+                            axis=0)
 
-    ii, jj = _peaks(spec, dec.source_count, wrap=(True, False))
-    scale = np.deg2rad(AOA_GRID_STEP_DEG)
-    estimates = []
-    for i, j in zip(ii, jj):
-        est = _newton_refine_aoa(np.array([az[i], el[j]]), un, array, scale)
-        estimates.append(est)
-    return estimates, dec
-
-
-def _newton_refine_aoa(p0: np.ndarray, noise_basis: np.ndarray,
-                       array: ArrayConfig, scale: float) -> SpectrumEstimate:
-    un = noise_basis
-    unh = un.conj().T
-
-    def evaluate(p):
+    def steer(p):
         ang = Angle2D(float(p[0]), float(p[1]))
-        first, second = spatial_steering_derivs(array, ang)
-        a = spatial_steering(array, ang)
-        wa = un @ (unh @ a)
-        f = float(np.real(np.vdot(a, wa)))
-        grad = 2.0 * np.real(first.conj().T @ wa)
-        w1 = un @ (unh @ first)
-        hess = 2.0 * np.real(first.conj().T @ w1)
-        for r_ in range(2):
-            for c_ in range(2):
-                hess[r_, c_] += 2.0 * np.real(np.vdot(second[:, r_, c_], wa))
-        return f, grad, hess
+        return (spatial_steering(array, ang),
+                *spatial_steering_derivs(array, ang))
 
-    return newton_refine_1d(p0, evaluate, scale)
+    return _refine_peaks(dec, spec.reshape(len(az), len(el)), (True, False),
+                         lambda i, j: np.array([az[i], el[j]]), steer,
+                         np.deg2rad(AOA_GRID_STEP_DEG)), dec
 
 
 def beamform_and_erase(snapshots: np.ndarray, w_rx: np.ndarray,
@@ -197,9 +204,8 @@ def _ramp_grid_spectrum(signal_basis: np.ndarray, n_grid: int,
     built.
     """
     basis = signal_basis.conj() if sign < 0 else signal_basis
-    proj = np.fft.fft(basis, n=n_grid, axis=0)
-    f = signal_basis.shape[0] - np.sum(np.abs(proj) ** 2, axis=1)
-    return 1.0 / np.maximum(f, 1e-300)
+    return _pseudo_spectrum(np.fft.fft(basis, n=n_grid, axis=0),
+                            signal_basis.shape[0], axis=1)
 
 
 def _line_spectrum_music(snapshots: np.ndarray, n_grid: int, sign: int,
@@ -208,29 +214,13 @@ def _line_spectrum_music(snapshots: np.ndarray, n_grid: int, sign: int,
 
     The ramp has period n_grid * step in its parameter x, with sign and
     derivatives ramp_derivs(x) = (a, a', a'').  The coarse grid
-    x_i = i * step covers one period; each of the source_count strongest
-    grid peaks is refined by Newton on the noise-subspace objective
-    ||U_n^H a(x)||^2.  Returns (estimates, decomposition).
+    x_i = i * step covers one period.  Returns (estimates, decomposition).
     """
     dec = decompose_snapshots(snapshots, n_sources=n_sources)
     spec = _ramp_grid_spectrum(dec.signal_basis, n_grid, sign)
-    idx, = _peaks(spec, dec.source_count, wrap=(True,))
-    un = dec.noise_basis
-    unh = un.conj().T
-
-    def derivs(x):
-        a, a1, a2 = ramp_derivs(float(x))
-        wa = un @ (unh @ a)
-        f = float(np.real(np.vdot(a, wa)))
-        g = 2.0 * float(np.real(np.vdot(a1, wa)))
-        wa1 = un @ (unh @ a1)
-        h = 2.0 * float(np.real(np.vdot(a2, wa)) + np.real(np.vdot(a1, wa1)))
-        return f, g, h
-
-    period = n_grid * step
-    estimates = [_wrap_estimate(newton_refine_1d(float(i * step), derivs, step),
-                                period) for i in idx]
-    return estimates, dec
+    estimates = _refine_peaks(dec, spec, (True,), lambda i: float(i * step),
+                              ramp_derivs, step)
+    return [_wrap_estimate(e, n_grid * step) for e in estimates], dec
 
 
 def _wrap_estimate(est: SpectrumEstimate, period: float) -> SpectrumEstimate:

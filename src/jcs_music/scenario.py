@@ -130,6 +130,10 @@ def generate_scenario(seed: int, n_scatterers: int = 2,
         raise ValueError(
             f"n_scatterers={n_scatterers}: must be in [0, {MAX_SCATTERERS}], "
             "the most scatterers the admissibility bounds reliably admit")
+    if not 0 < reflect_var < np.inf:
+        raise ValueError(f"reflect_var={reflect_var}: must be finite and > 0")
+    if mue_x is not None and not np.isfinite(mue_x):
+        raise ValueError(f"mue_x={mue_x}: must be finite")
     rng = np.random.default_rng(seed)
     rot = rotation_matrix()
 

@@ -9,13 +9,16 @@ from jcs_music.channel import NoiseConfig, WaveformConfig
 from jcs_music.fft_baseline import pslr_db
 from jcs_music.music import (NEWTON_MAX_ITER, NEWTON_TOL, SpectrumEstimate,
                              _newton_step, _peaks, _ramp_grid_spectrum,
+                             _subspace_objective,
                              beamform_and_erase, doppler_spectrum, music_aoa,
                              music_doppler, music_range, newton_refine_1d,
                              range_spectrum)
 from jcs_music.scenario import generate_scenario
-from jcs_music.steering import (ArrayConfig, doppler_steering,
-                                doppler_steering_grid, range_steering,
-                                range_steering_grid, spatial_steering)
+from jcs_music.steering import (Angle2D, ArrayConfig, doppler_steering,
+                                doppler_steering_derivs, doppler_steering_grid,
+                                range_steering, range_steering_derivs,
+                                range_steering_grid, spatial_steering,
+                                spatial_steering_derivs)
 from jcs_music.subspace import (covariance, decompose, decompose_snapshots,
                                 smoothed_covariance)
 
@@ -260,6 +263,92 @@ def test_newton_on_music_objectives_equals_oracle(wave, array, noise, rng,
         np.testing.assert_array_equal(e.value, o.value)
         assert (e.spectrum, e.objective, e.iterations, e.converged) == \
             (o.spectrum, o.objective, o.iterations, o.converged)
+
+
+def _central_differences(f, x, h):
+    """Gradient and Hessian of f at the vector x from central differences
+    of step h along each axis."""
+    d = len(x)
+    e = np.eye(d) * h
+    f0 = f(x)
+    g = np.array([(f(x + e[i]) - f(x - e[i])) / (2 * h) for i in range(d)])
+    hess = np.array([[(f(x + e[i] + e[j]) - f(x + e[i] - e[j])
+                       - f(x - e[i] + e[j]) + f(x - e[i] - e[j])) / (4 * h * h)
+                      if i != j else
+                      (f(x + e[i]) - 2 * f0 + f(x - e[i])) / (h * h)
+                      for j in range(d)] for i in range(d)])
+    return g, hess
+
+
+def _objective_by_entries(un, steer, x):
+    """f, gradient and Hessian of ||U_n^H a(x)||^2 one entry at a time by
+    vdot, as the range, Doppler and AoA refinements computed them before
+    they shared one closed form; each with the rounding bound
+    n eps sum_k |u_k| |v_k| of the dot products that make it."""
+    a, a1, a2 = steer(x)
+    n, d = len(a), len(x)
+    a1, a2 = a1.reshape(n, d), a2.reshape(n, d, d)
+    unh = un.conj().T
+    wa, w1 = un @ (unh @ a), un @ (unh @ a1)
+    f = np.real(np.vdot(a, wa))
+    g = [2 * np.real(np.vdot(a1[:, i], wa)) for i in range(d)]
+    hess = [[2 * np.real(np.vdot(a2[:, i, j], wa) + np.vdot(a1[:, i], w1[:, j]))
+             for j in range(d)] for i in range(d)]
+    eps = n * np.finfo(float).eps
+    bounds = (eps * np.abs(a) @ np.abs(wa),
+              2 * eps * np.abs(a1).T @ np.abs(wa),
+              2 * eps * (np.tensordot(np.abs(a2), np.abs(wa), axes=(0, 0))
+                         + np.abs(a1).T @ np.abs(w1)))
+    return (f, np.array(g), np.array(hess)), bounds
+
+
+def test_subspace_objective_derivatives_match_central_differences(
+        wave, array, noise, rng):
+    """The gradient and Hessian of ||U_n^H a(x)||^2 agree with central
+    differences of its own value, on the noise bases of a noisy draw at
+    off-grid points: range and Doppler (one parameter) and AoA (two, with
+    a symmetric Hessian).  All three agree with the entry-by-entry form
+    within the rounding bound of its dot products."""
+    scen = generate_scenario(2)
+    beams = channel.build_beamformers(scen, array)
+    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng, c=C)
+    w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
+    h_bar = echo.beamform(w0) / echo.symbols
+    nc, df = wave.n_subcarriers, wave.subcarrier_spacing
+    ms, t = wave.n_symbols, wave.symbol_duration
+
+    def aoa_steer(p):
+        ang = Angle2D(float(p[0]), float(p[1]))
+        return (spatial_steering(array, ang),
+                *spatial_steering_derivs(array, ang))
+
+    cases = [
+        # (noise basis, steering, coarse cell width, off-grid points)
+        (decompose_snapshots(h_bar).noise_basis,
+         lambda r: range_steering_derivs(nc, df, r[0], C),
+         C / (4.0 * wave.bandwidth), [[3.7], [41.3], [97.05]]),
+        (decompose_snapshots(h_bar.T).noise_basis,
+         lambda f: doppler_steering_derivs(ms, t, f[0]),
+         1.0 / (2.0 * ms * t), [[123.4], [2717.9], [9001.1]]),
+        (decompose(covariance(echo.snapshots.reshape(array.size, -1)),
+                   max_rank=array.size).noise_basis, aoa_steer,
+         np.deg2rad(1.0), [[0.3, 0.7], [-2.41, 0.123], [1.77, 1.31]]),
+    ]
+    for un, steer, cell, points in cases:
+        derivs = _subspace_objective(un, steer)
+        for x in np.asarray(points, dtype=float):
+            f, g, hess = derivs(x)
+            g_fd, h_fd = _central_differences(lambda y: derivs(y)[0], x,
+                                              1e-3 * cell)
+            g, hess = np.reshape(g, -1), np.reshape(hess, (len(x), len(x)))
+            for exact, approx in ((g, g_fd), (hess, h_fd)):
+                np.testing.assert_allclose(exact, approx, rtol=1e-5,
+                                           atol=1e-5 * np.abs(exact).max())
+            wants, bounds = _objective_by_entries(un, steer, x)
+            for got, want, bound in zip((f, g, hess), wants, bounds):
+                assert np.all(np.abs(got - want) <= bound)
+            np.testing.assert_allclose(hess, hess.T, rtol=0,
+                                       atol=1e-12 * np.abs(hess).max())
 
 
 def test_spectrum_reciprocity():

@@ -2,6 +2,7 @@
 statistical oracles."""
 
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,24 @@ def test_scatterer_admissibility_bounds():
                 sep = np.degrees(np.arccos(np.clip(dirs[i] @ dirs[j], -1, 1)))
                 assert sep >= 20.0 - 1e-9
                 assert abs(speeds[i] - speeds[j]) >= 5.0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"reflect_var": -1.0}, "reflect_var=-1.0: must be finite and > 0"),
+    ({"reflect_var": 0.0}, "reflect_var=0.0: must be finite and > 0"),
+    ({"reflect_var": float("nan")}, "reflect_var=nan: must be finite and > 0"),
+    ({"reflect_var": float("inf")}, "reflect_var=inf: must be finite and > 0"),
+    ({"mue_x": float("nan")}, "mue_x=nan: must be finite"),
+    ({"mue_x": float("inf")}, "mue_x=inf: must be finite"),
+    ({"mue_x": -float("inf")}, "mue_x=-inf: must be finite"),
+], ids=["reflect_var-negative", "reflect_var-zero", "reflect_var-nan",
+        "reflect_var-inf", "mue_x-nan", "mue_x-inf", "mue_x-minus-inf"])
+def test_scene_rejects_values_it_cannot_use(kwargs, message):
+    """A reflection variance the channel cannot take the square root of,
+    or a user position that is not a number, is refused by name before
+    any draw."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        generate_scenario(0, **kwargs)
 
 
 def test_direct_path_in_front_halfspace():
