@@ -3,6 +3,7 @@ of echo and communication snapshots at calibrated SINR."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +20,14 @@ def _check(*rules) -> None:
     for ok, message in rules:
         if not ok:
             raise ValueError(message)
+
+
+def db_to_power(db: float) -> float:
+    """Linear power 10^(db/10) of a dB value; inf where it overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -66,23 +75,18 @@ class NoiseConfig:
     inr_comm_db: float = 3.0
 
     def __post_init__(self):
-        _check((self.noise_var > 0, "noise_var: must be > 0"))
-
-    @property
-    def interference_power_sense(self) -> float:
-        return self.noise_var * 10.0 ** (self.inr_sense_db / 10.0)
-
-    @property
-    def interference_power_comm(self) -> float:
-        return self.noise_var * 10.0 ** (self.inr_comm_db / 10.0)
+        _check((self.noise_var > 0, "noise_var: must be > 0"),
+               *((math.isfinite(db_to_power(getattr(self, key))),
+                  f"{key}: must be a dB value with a finite linear power")
+                 for key in ("inr_sense_db", "inr_comm_db")))
 
     @property
     def total_sense_var(self) -> float:
-        return self.noise_var + self.interference_power_sense
+        return self.noise_var + self.noise_var * db_to_power(self.inr_sense_db)
 
     @property
     def total_comm_var(self) -> float:
-        return self.noise_var + self.interference_power_comm
+        return self.noise_var + self.noise_var * db_to_power(self.inr_comm_db)
 
     @property
     def echo_noise_std(self) -> float:
@@ -158,6 +162,18 @@ def draw_reflections(scenario: Scenario, rng: np.random.Generator,
     return out
 
 
+def _calibrated_power(gain2: float, var: float, target_sinr_db: float,
+                      path: str) -> float:
+    """Transmit power that puts a path of power gain gain2 at the target
+    SINR over noise-plus-interference power var (in Python floats, which
+    overflow to inf without a warning)."""
+    _check((gain2 > 0, f"zero {path} gain; cannot calibrate power"))
+    power = db_to_power(target_sinr_db) * var / float(gain2)
+    _check((math.isfinite(power), f"{path} transmit power for "
+            f"{target_sinr_db} dB is not a finite float"))
+    return power
+
+
 def calibrate_power_sense(scenario: Scenario, wave: WaveformConfig,
                           beams: Beamformers, noise: NoiseConfig,
                           target_sinr_db: float,
@@ -168,11 +184,9 @@ def calibrate_power_sense(scenario: Scenario, wave: WaveformConfig,
     reflection factor at its RMS magnitude.
     """
     gain = echo_amplitude(scenario, wave, 0, c) * abs(beams.tx_gains[0])
-    gain2 = gain ** 2 * scenario.mue_path.reflect_var_sense
-    if gain2 <= 0:
-        raise ValueError("zero echo path gain; cannot calibrate power")
-    sinr = 10.0 ** (target_sinr_db / 10.0)
-    return sinr * noise.total_sense_var / gain2
+    return _calibrated_power(gain ** 2 * scenario.mue_path.reflect_var_sense,
+                             noise.total_sense_var, target_sinr_db,
+                             "echo path")
 
 
 def calibrate_power_comm(scenario: Scenario, wave: WaveformConfig,
@@ -181,32 +195,29 @@ def calibrate_power_comm(scenario: Scenario, wave: WaveformConfig,
                          c: float = SPEED_OF_LIGHT) -> float:
     """Transmit power that puts the LoS link at the target C-SINR."""
     gain = comm_los_amplitude(scenario, wave, c) * abs(beams.tx_gains[0])
-    if gain <= 0:
-        raise ValueError("zero LoS gain; cannot calibrate power")
-    sinr = 10.0 ** (target_sinr_db / 10.0)
-    return sinr * noise.total_comm_var / gain ** 2
+    return _calibrated_power(gain ** 2, noise.total_comm_var, target_sinr_db,
+                             "LoS")
 
 
 @dataclass(frozen=True)
 class EchoRealization:
-    """One echo frame, held as per-path factors plus one noise draw.
+    """One noiseless echo frame, held as per-path factors.
 
-    Y = sum_l steering[:, l] (x) factors[l] + N.  `beamform` reads one
-    beam's output from the factors and the noise planes; only 2-D AoA
-    estimation reads the whole (PQ, N_c, M_s) tensor, which `snapshots`
-    builds on every read.
+    Y = sum_l steering[:, l] (x) factors[l].  `beamform` reads one beam's
+    output from the factors; only 2-D AoA estimation reads the whole
+    (PQ, N_c, M_s) tensor, which `snapshots` builds on every read.  The
+    noise is added by the fills `_noisy_beam` and `_noisy_snapshots`.
     """
 
     steering: np.ndarray           # (PQ, L) echo steering matrix
     factors: np.ndarray            # (L, N_c, M_s) sqrt(P) b_l chi_l d * ramp_l
-    noise_draw: np.ndarray | None  # (2, PQ, N_c, M_s) real, imag; None if noiseless
     symbols: np.ndarray            # (N_c, M_s)
 
     @property
     def snapshots(self) -> np.ndarray:
-        """(PQ, N_c, M_s) echo tensor, built one antenna row at a time:
-        the paths summed in order through one (N_c, M_s) term buffer,
-        then the noise planes added componentwise."""
+        """(PQ, N_c, M_s) noiseless echo tensor, built one antenna row at
+        a time: the paths summed in order through one (N_c, M_s) term
+        buffer."""
         f = self.factors
         y = np.empty((len(self.steering),) + f.shape[1:], dtype=f.dtype)
         term = np.empty_like(f[0])
@@ -214,22 +225,16 @@ class EchoRealization:
             np.multiply(a[0], f[0], out=row)
             for l in range(1, len(f)):
                 row += np.multiply(a[l], f[l], out=term)
-        if self.noise_draw is not None:
-            y.real += self.noise_draw[0]
-            y.imag += self.noise_draw[1]
         return y
 
     def beamform(self, w: np.ndarray, planes=None) -> np.ndarray:
-        """Beam output w^H Y, shape (N_c, M_s): (w^H A) X + w^H N, with
-        w^H N from two real (2 x PQ) products, one on the real and one on
-        the imaginary noise plane, so no PQ x N_c x M_s complex array is
-        formed.  The planes are the echo's noise draw, or the two
-        (PQ, N_c*M_s) arrays `planes` yields in turn; each is reduced
-        before the next is taken, so one buffer can hold both."""
+        """Beam output w^H Y, shape (N_c, M_s): (w^H A) X, plus w^H N when
+        `planes` yields the real and then the imaginary (PQ, N_c*M_s)
+        noise plane.  w^H N comes from two real (2 x PQ) products, one per
+        plane, so no PQ x N_c x M_s complex array is formed; each plane is
+        reduced before the next is taken, so one buffer can hold both."""
         y = (w.conj() @ self.steering) @ self.factors.reshape(
             len(self.factors), -1)
-        if planes is None and self.noise_draw is not None:
-            planes = self.noise_draw.reshape(2, len(w), -1)
         if planes is not None:
             w2 = np.stack([w.real, w.imag])
             nr, ni = (w2 @ plane for plane in planes)
@@ -256,16 +261,16 @@ def path_phases(scenario: Scenario, wave: WaveformConfig, l: int,
 
 def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
                     tx_array: ArrayConfig, beams: Beamformers,
-                    noise: NoiseConfig, rng: np.random.Generator,
+                    rng: np.random.Generator,
                     reflections: np.ndarray | None = None,
                     fading: str = "phase",
-                    c: float = SPEED_OF_LIGHT,
-                    noiseless: bool = False) -> EchoRealization:
-    """Received echo Y_S at the BS across all subcarriers/symbols, held
-    as per-path factors plus one noise draw (see EchoRealization).
+                    c: float = SPEED_OF_LIGHT) -> EchoRealization:
+    """Noiseless echo Y_S at the BS across all subcarriers/symbols, held
+    as per-path factors (see EchoRealization).
 
     The generator draws the random symbols, then the reflection factors
-    unless they are given, then the noise planes unless noiseless."""
+    unless they are given, and nothing else: a fill draws the noise from
+    where the generator is left."""
     nc, ms = wave.n_subcarriers, wave.n_symbols
     symbols, _ = qam.random_symbols((nc, ms), wave.qam_order, rng)
     if reflections is None:
@@ -280,12 +285,7 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
         gain = b * beams.tx_gains[l]
         np.multiply(amp * gain * symbols, path_phases(scenario, wave, l, c),
                     out=factors[l])
-
-    z = None
-    if not noiseless:
-        z = _fill_echo_noise(rng, np.empty((2, tx_array.size, nc, ms)),
-                             noise.echo_noise_std)
-    return EchoRealization(steering=steering, factors=factors, noise_draw=z,
+    return EchoRealization(steering=steering, factors=factors,
                            symbols=symbols)
 
 
@@ -306,10 +306,10 @@ def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,
 
     The echo noise is std * (normal + 1j * normal) over (PQ, N_c, M_s),
     drawn as the real plane, then the imaginary plane.  Every split of
-    that sequence into consecutive `out` arrays (both planes at once, one
-    plane, a block of rows) draws the same values and leaves the
-    generator in the same state.  It calls numpy only, so the harness
-    runs it on a worker thread."""
+    that sequence into consecutive `out` arrays (one plane, a block of
+    rows) draws the same values and leaves the generator in the same
+    state.  It calls numpy only, so the harness runs it on a worker
+    thread."""
     rng.standard_normal(out=out)
     out *= std
     return out
@@ -372,8 +372,7 @@ def synthesize_comm(scenario: Scenario, wave: WaveformConfig,
                     rng: np.random.Generator,
                     symbols: np.ndarray | None = None,
                     reflections: np.ndarray | None = None,
-                    c: float = SPEED_OF_LIGHT,
-                    noiseless: bool = False) -> CommRealization:
+                    c: float = SPEED_OF_LIGHT) -> CommRealization:
     """Received communication samples y_C at the MUE.  Given symbols (a
     preamble) carry zero labels; otherwise random symbols are drawn."""
     nc, ms = wave.n_subcarriers, wave.n_symbols
@@ -382,10 +381,7 @@ def synthesize_comm(scenario: Scenario, wave: WaveformConfig,
     else:
         labels = np.zeros_like(symbols, dtype=int)
     h = comm_csi(scenario, wave, beams, reflections, c)
-    if noiseless:
-        nse = np.zeros((nc, ms), dtype=complex)
-    else:
-        nse = _complex_normal(rng, (nc, ms), noise.total_comm_var)
+    nse = _complex_normal(rng, (nc, ms), noise.total_comm_var)
     samples = np.sqrt(wave.tx_power) * symbols * h + nse
     return CommRealization(samples=samples, csi=h, symbols=symbols,
                            labels=labels)

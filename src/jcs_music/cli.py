@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from . import harness, qam
+from .channel import db_to_power
 from .config import ConfigError, bind, load_config
 
 
@@ -29,6 +30,15 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(val):
         raise argparse.ArgumentTypeError(
             f"expected a finite number, got {text!r}")
+    return val
+
+
+def _finite_db(text: str) -> float:
+    """argparse type: a dB value whose power 10^(x/10) is a finite float."""
+    val = _finite_float(text)
+    if not math.isfinite(db_to_power(val)):
+        raise argparse.ArgumentTypeError(
+            f"expected a dB value with a finite linear power, got {text!r}")
     return val
 
 
@@ -61,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-ber", help="BER sweep over link SINR for the "
                                          "four CSI cases")
     # a C-SINR grid, which no config key holds: checked here, not as a key
-    _add_common(p, sinr_type=_finite_float,
+    _add_common(p, sinr_type=_finite_db,
                 sinr_help="C-SINR grid in dB (default 10 to 30 in 5 dB steps)")
     p.add_argument("--mue-x", type=_finite_float, default=75.0,
                    help="pinned user x coordinate of the link sweep "

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .channel import NoiseConfig, WaveformConfig
+from .channel import NoiseConfig, WaveformConfig, db_to_power
 from .constants import speed_of_light
 from .scenario import MAX_SCATTERERS
 from .steering import ArrayConfig
@@ -109,6 +109,8 @@ def _validate(cfg: dict) -> None:
             "scenario.fading: must be 'phase' or 'rayleigh'")
     sw = cfg["sweep"]
     require(len(sw["sinr_grid_db"]) >= 1, "sweep.sinr_grid_db: must be nonempty")
+    require(all(math.isfinite(db_to_power(v)) for v in sw["sinr_grid_db"]),
+            "sweep.sinr_grid_db: must be dB values with finite linear powers")
     require(int(sw["trials"]) >= 1, "sweep.trials: must be >= 1")
 
 

@@ -239,9 +239,9 @@ def _frame_draw(ctx: RunContext, scenario: Scenario,
     p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
                                          sinr_db, ctx.c)
     wave = ctx.wave.with_power(p_tx)
-    echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
-                                   rng, fading=ctx.config["scenario"]["fading"],
-                                   c=ctx.c, noiseless=True)
+    echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, rng,
+                                   fading=ctx.config["scenario"]["fading"],
+                                   c=ctx.c)
     if use_true_beam:
         h_bar = yield from _beam_output(ctx, echo, scenario.mue_path.aoa, rng)
         return SensingDraw(scenario, wave, h_bar)
@@ -281,9 +281,9 @@ def _ber_draw(ctx: RunContext, csinr_db: float, scen_seed: int,
     pre = qam.preamble(wave.n_subcarriers, wave.n_symbols)
     comm_pre = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
                                        symbols=pre, reflections=refl, c=ctx.c)
-    echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, ctx.noise,
-                                   rng, reflections=refl, fading=cfg["fading"],
-                                   c=ctx.c, noiseless=True)
+    echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, rng,
+                                   reflections=refl, fading=cfg["fading"],
+                                   c=ctx.c)
     h_bar = yield from _beam_output(ctx, echo, scenario.mue_path.aoa, rng)
     comm_data = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
                                         reflections=refl, c=ctx.c)

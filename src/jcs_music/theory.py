@@ -71,13 +71,13 @@ def _effective_rank(s: np.ndarray, n_rows: int, n_cols: int,
 
 def _noiseless_echo(scenario: Scenario, wave: WaveformConfig,
                     array: ArrayConfig, beams: Beamformers,
-                    noise: NoiseConfig, rng: np.random.Generator,
+                    rng: np.random.Generator,
                     c: float) -> channel.EchoRealization:
     """Noiseless echo, every reflection factor at its RMS magnitude."""
     rms = np.array([np.sqrt(p.reflect_var_sense) for p in scenario.paths],
                    dtype=complex)
-    return channel.synthesize_echo(scenario, wave, array, beams, noise, rng,
-                                   reflections=rms, noiseless=True, c=c)
+    return channel.synthesize_echo(scenario, wave, array, beams, rng,
+                                   reflections=rms, c=c)
 
 
 def _perturbation_draws(u: np.ndarray, s: np.ndarray, shape: tuple,
@@ -114,7 +114,7 @@ def aoa_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
     With X^H = Q R, Y = (A R^H) Q^H and Q has orthonormal columns, so Y's
     left singular pairs are those of the PQ x L matrix A R^H.
     """
-    real = _noiseless_echo(scenario, wave, array, beams, noise, rng, c)
+    real = _noiseless_echo(scenario, wave, array, beams, rng, c)
     x = real.factors.reshape(len(real.factors), -1)
     r = np.linalg.qr(x.conj().T, mode="r")
     u, s, _ = np.linalg.svd(real.steering @ r.conj().T, full_matrices=False)
@@ -141,7 +141,7 @@ def range_doppler_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
     Doppler those of the transpose, conj(V).  The range stage draws from
     rng before the Doppler stage.
     """
-    real = _noiseless_echo(scenario, wave, array, beams, noise, rng, c)
+    real = _noiseless_echo(scenario, wave, array, beams, rng, c)
     w = channel.sense_rx_beamformer(array, scenario.mue_path.aoa)
     h_p = real.beamform(w) / real.symbols
     u, s, vh = np.linalg.svd(h_p, full_matrices=False)

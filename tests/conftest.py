@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jcs_music import bind, load_config
+from jcs_music import bind, channel, load_config
 from jcs_music.channel import NoiseConfig, WaveformConfig
 from jcs_music.steering import ArrayConfig
 
@@ -31,3 +31,15 @@ def noise_cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def noisy_snapshots():
+    """draw(echo, rng, noise): the (PQ, N_c, M_s) tensor of a noiseless
+    echo with its noise drawn from rng by the estimated-beam fill, as the
+    sweeps draw it, into a plane of NaNs that must not reach the tensor."""
+    def draw(echo, rng, noise):
+        plane = np.full((len(echo.steering), echo.symbols.size), np.nan)
+        return channel._noisy_snapshots(echo, rng, noise.echo_noise_std,
+                                        plane)
+    return draw

@@ -179,8 +179,7 @@ def test_criterion_7_property_essentials(actx):
         scen = generate_scenario(seed)
         beams = channel.build_beamformers(scen, arr)
         rngs = np.random.default_rng(seed)
-        echo = channel.synthesize_echo(scen, wave, arr, beams, noise, rngs,
-                                       noiseless=True)
+        echo = channel.synthesize_echo(scen, wave, arr, beams, rngs)
         y = echo.snapshots.reshape(arr.size, -1)
         u = np.linalg.svd(y, full_matrices=True)[0]
         un = u[:, scen.n_paths:]

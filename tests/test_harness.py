@@ -310,7 +310,7 @@ def test_noise_only_beam_falls_back_and_stays_in_domain(seed):
     w = channel.sense_rx_beamformer(ctx.array, angle)
     echo = channel.EchoRealization(
         steering=w[:, None] / np.vdot(w, w), factors=h[None],
-        noise_draw=None, symbols=np.ones(h.shape, dtype=complex))
+        symbols=np.ones(h.shape, dtype=complex))
     h_bar = echo.beamform(w) / echo.symbols
     per, r_rt, n_src = harness._beam_range(ctx, wave, h_bar)
     assert n_src == 1
@@ -343,10 +343,11 @@ def test_validate_theory_runs_the_trial_chain():
 # -- trial pipeline ------------------------------------------------------
 
 @pytest.mark.parametrize("numerology", ["default", "small"])
-def test_estimated_beam_draw_carries_the_echo_covariance(numerology, ctx):
-    """An estimated-beam draw holds, bit for bit, the noisy echo drawn in
-    one call on a copy of the trial's generator and the `covariance` of
-    its (PQ, N_c*M_s) matrix; both generators end in the same state."""
+def test_estimated_beam_draw_carries_the_echo_covariance(numerology, ctx,
+                                                         noisy_snapshots):
+    """An estimated-beam draw holds, bit for bit, the noisy echo drawn on
+    a copy of the trial's generator and the `covariance` of its
+    (PQ, N_c*M_s) matrix; both generators end in the same state."""
     c = ctx if numerology == "default" else _small_ctx()
     scen_seed, rng = trial_rng(7, 0, 0)
     ref_rng = copy.deepcopy(rng)
@@ -355,10 +356,10 @@ def test_estimated_beam_draw_carries_the_echo_covariance(numerology, ctx):
     scenario = harness._scene(c, scen_seed)
     beams = channel.build_beamformers(scenario, c.array)
     echo = channel.synthesize_echo(scenario, draw.wave, c.array, beams,
-                                   c.noise, ref_rng,
+                                   ref_rng,
                                    fading=c.config["scenario"]["fading"],
                                    c=c.c)
-    y = echo.snapshots
+    y = noisy_snapshots(echo, ref_rng, c.noise)
     assert draw.h_bar is None
     assert np.array_equal(draw.symbols, echo.symbols)
     assert np.array_equal(draw.snapshots, y)
@@ -592,6 +593,10 @@ def test_config_rejects_mistyped_value(override, path):
     ("waveform", channel.WaveformConfig, "carrier_freq", 0.0, "> 0"),
     ("waveform", channel.WaveformConfig, "qam_order", 8, "one of 4, 16, 64"),
     ("noise", channel.NoiseConfig, "noise_var", 0.0, "> 0"),
+    ("noise", channel.NoiseConfig, "inr_sense_db", 4000.0,
+     "a dB value with a finite linear power"),
+    ("noise", channel.NoiseConfig, "inr_comm_db", 3083.0,
+     "a dB value with a finite linear power"),
 ])
 def test_objects_check_their_fields_and_config_names_the_key(
         tmp_path, capsys, section, cls, field, value, rule):
@@ -747,13 +752,33 @@ def _cli_exit(argv):
      for command in ("sweep-mse", "sweep-ber", "spectrum", "crb",
                      "validate-theory")] + [
     (["spectrum", "--sinr", "0", "10"], "--sinr"),
-])
+] + [([command, "--sinr", "3100"],
+      "--sinr" if command == "sweep-ber" else "sweep.sinr_grid_db")
+     for command in ("sweep-mse", "sweep-ber", "crb", "validate-theory",
+                     "spectrum")])
 def test_cli_rejects_bad_flags(argv, named, tmp_path, capsys):
     out = tmp_path / "res"
     assert _cli_exit(argv + ["--out", str(out)]) == 2
     err = [line for line in capsys.readouterr().err.splitlines()
            if "error:" in line]
     assert len(err) == 1 and named in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, path", [("sweep-mse", "echo path"),
+                                           ("sweep-ber", "LoS")])
+def test_cli_reports_an_overflowing_transmit_power_in_one_line(
+        tmp_path, capsys, command, path):
+    """A noise floor so high that the calibrated transmit power overflows
+    a float stops the run with one error line and exit code 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"noise_var": 1e300}}))
+    out = tmp_path / "res"
+    assert cli.main([command, "--config", str(cfg), "--sinr", "10",
+                     "--trials", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert f"{path} transmit power for 10.0 dB is not a finite float" in err[0]
     assert not out.exists()
 
 

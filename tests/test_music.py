@@ -41,20 +41,19 @@ def noise():
     return NoiseConfig()
 
 
-def _noiseless_echo(seed, wave, array, noise, n_scatterers=2):
+def _noiseless_echo(seed, wave, array, n_scatterers=2):
     scen = generate_scenario(seed, n_scatterers=n_scatterers)
     beams = channel.build_beamformers(scen, array)
     rng = np.random.default_rng(seed + 1000)
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng,
-                                   noiseless=True, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
     return scen, beams, echo
 
 
-def test_noiseless_noise_subspace_orthogonality(wave, array, noise):
+def test_noiseless_noise_subspace_orthogonality(wave, array):
     """True steering vectors lie in the signal subspace for every stage,
     across 50 random scenes."""
     for seed in range(50):
-        scen, _, echo = _noiseless_echo(seed, wave, array, noise)
+        scen, _, echo = _noiseless_echo(seed, wave, array)
         rank = scen.n_paths
         y = echo.snapshots.reshape(array.size, -1)
         # SVD of the snapshots spans the same subspace as the covariance
@@ -240,15 +239,17 @@ def test_newton_evaluates_each_point_once(case):
 
 
 def test_newton_on_music_objectives_equals_oracle(wave, array, noise, rng,
+                                                  noisy_snapshots,
                                                   monkeypatch):
     """Range, Doppler and AoA refinements of a noisy echo give the same
     estimates, field for field, as the loop that evaluated points twice."""
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
+    snapshots = noisy_snapshots(echo, rng, noise)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
-    h_bar = echo.beamform(w0) / echo.symbols
-    y = echo.snapshots.reshape(array.size, -1)
+    h_bar = beamform_and_erase(snapshots, w0, echo.symbols)
+    y = snapshots.reshape(array.size, -1)
 
     def estimates():
         return (music_range(h_bar, wave, c=C)[0]
@@ -303,7 +304,7 @@ def _objective_by_entries(un, steer, x):
 
 
 def test_subspace_objective_derivatives_match_central_differences(
-        wave, array, noise, rng):
+        wave, array, noise, rng, noisy_snapshots):
     """The gradient and Hessian of ||U_n^H a(x)||^2 agree with central
     differences of its own value, on the noise bases of a noisy draw at
     off-grid points: range and Doppler (one parameter) and AoA (two, with
@@ -311,9 +312,10 @@ def test_subspace_objective_derivatives_match_central_differences(
     within the rounding bound of its dot products."""
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
-    h_bar = echo.beamform(w0) / echo.symbols
+    h_bar = beamform_and_erase(noisy_snapshots(echo, rng, noise), w0,
+                               echo.symbols)
     nc, df = wave.n_subcarriers, wave.subcarrier_spacing
     ms, t = wave.n_symbols, wave.symbol_duration
 
@@ -469,8 +471,8 @@ def test_fft_coarse_grid_matches_steering_spectrum(wave, rng):
 
 # -- end-to-end noiseless estimates -------------------------------------
 
-def test_noiseless_aoa_recovers_truth(wave, array, noise):
-    scen, _, echo = _noiseless_echo(5, wave, array, noise, n_scatterers=1)
+def test_noiseless_aoa_recovers_truth(wave, array):
+    scen, _, echo = _noiseless_echo(5, wave, array, n_scatterers=1)
     y = echo.snapshots.reshape(array.size, -1)
     ests, dec = music_aoa(covariance(y), array, n_sources=scen.n_paths)
     assert len(ests) == 2
@@ -481,8 +483,8 @@ def test_noiseless_aoa_recovers_truth(wave, array, noise):
         assert float(best.value[1]) == pytest.approx(p.aoa.elevation, abs=1e-4)
 
 
-def test_noiseless_range_matches_dense_grid_oracle(wave, array, noise):
-    scen, _, echo = _noiseless_echo(8, wave, array, noise, n_scatterers=0)
+def test_noiseless_range_matches_dense_grid_oracle(wave, array):
+    scen, _, echo = _noiseless_echo(8, wave, array, n_scatterers=0)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
     ests, _ = music_range(h_bar, wave, c=C)
@@ -500,8 +502,8 @@ def test_noiseless_range_matches_dense_grid_oracle(wave, array, noise):
     assert abs(r_grid[np.argmax(spec)] - r_true) <= 0.5 * r_grid[1] + 1e-9
 
 
-def test_noiseless_doppler_matches_truth(wave, array, noise):
-    scen, _, echo = _noiseless_echo(9, wave, array, noise, n_scatterers=0)
+def test_noiseless_doppler_matches_truth(wave, array):
+    scen, _, echo = _noiseless_echo(9, wave, array, n_scatterers=0)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
     ests, _ = music_doppler(h_bar, wave, n_sources=1)
@@ -511,12 +513,13 @@ def test_noiseless_doppler_matches_truth(wave, array, noise):
                                                           abs=1e-2)
 
 
-def test_scaling_invariance(wave, array, noise, rng):
+def test_scaling_invariance(wave, array, noise, rng, noisy_snapshots):
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
-    h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
+    h_bar = beamform_and_erase(noisy_snapshots(echo, rng, noise), w0,
+                               echo.symbols)
     e1, _ = music_range(h_bar, wave, c=C)
     e2, _ = music_range((0.3 - 0.7j) * h_bar, wave, c=C)
     v1 = sorted(float(e.value) for e in e1)
@@ -524,11 +527,12 @@ def test_scaling_invariance(wave, array, noise, rng):
     np.testing.assert_allclose(v1, v2, rtol=1e-9)
 
 
-def test_column_permutation_invariance(wave, array, noise, rng):
+def test_column_permutation_invariance(wave, array, noise, rng,
+                                       noisy_snapshots):
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng, c=C)
-    y = echo.snapshots.reshape(array.size, -1)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
+    y = noisy_snapshots(echo, rng, noise).reshape(array.size, -1)
     perm = rng.permutation(y.shape[1])
     e1, _ = music_aoa(covariance(y), array)
     e2, _ = music_aoa(covariance(y[:, perm]), array)
@@ -567,8 +571,8 @@ def test_beamform_erase_scalar_oracle(array, rng):
     assert h[1, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_pseudo_spectrum_peaks_at_truth(wave, array, noise):
-    scen, _, echo = _noiseless_echo(11, wave, array, noise, n_scatterers=0)
+def test_pseudo_spectrum_peaks_at_truth(wave, array):
+    scen, _, echo = _noiseless_echo(11, wave, array, n_scatterers=0)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
     r_true = 2.0 * scen.mue_path.d1
@@ -584,8 +588,8 @@ def test_pseudo_spectrum_peaks_at_truth(wave, array, noise):
     assert abs(r_grid[np.argmax(spec)] - r_true) <= 0.5 * r_grid[1] + 1e-9
 
 
-def test_doppler_spectrum_window_variant(wave, array, noise):
-    scen, _, echo = _noiseless_echo(12, wave, array, noise, n_scatterers=0)
+def test_doppler_spectrum_window_variant(wave, array):
+    scen, _, echo = _noiseless_echo(12, wave, array, n_scatterers=0)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
     f_true = 2.0 * scen.mue_path.v1 / wave.wavelength(C)
@@ -601,8 +605,8 @@ def test_doppler_spectrum_window_variant(wave, array, noise):
     assert min(df, f_span - df) <= 0.5 * f_grid[1] + 1e-9
 
 
-def test_estimate_fields_populated(wave, array, noise):
-    scen, _, echo = _noiseless_echo(13, wave, array, noise, n_scatterers=0)
+def test_estimate_fields_populated(wave, array):
+    scen, _, echo = _noiseless_echo(13, wave, array, n_scatterers=0)
     y = echo.snapshots.reshape(array.size, -1)
     ests, dec = music_aoa(covariance(y), array, n_sources=1)
     assert dec.source_count == 1

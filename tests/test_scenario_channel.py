@@ -3,7 +3,6 @@ statistical oracles."""
 
 import copy
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,26 +129,10 @@ def test_direct_path_in_front_halfspace():
 
 # -- echo synthesis ------------------------------------------------------
 
-def _signal(echo):
-    """The echo's noiseless (PQ, N_c, M_s) tensor."""
-    return replace(echo, noise_draw=None).snapshots
-
-
-def _noise(echo):
-    """The echo's complex noise tensor, from its planes; zeros when
-    noiseless."""
-    nse = np.zeros(echo.steering.shape[:1] + echo.symbols.shape,
-                   dtype=complex)
-    if echo.noise_draw is not None:
-        nse.real, nse.imag = echo.noise_draw
-    return nse
-
-
-def test_noiseless_single_path_echo_is_rank_one(wave, array, noise, rng):
+def test_noiseless_single_path_echo_is_rank_one(wave, array, rng):
     scen = generate_scenario(3, n_scatterers=0)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng,
-                                   noiseless=True)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng)
     y = echo.snapshots.reshape(array.size, -1)
     s = np.linalg.svd(y, compute_uv=False)
     assert s[1] / s[0] < 1e-12
@@ -219,7 +202,7 @@ def test_calibration_closed_form_inverse(wave, array):
     assert p * gain2 == pytest.approx(nz.total_sense_var, rel=1e-12)
 
 
-def test_empirical_sense_sinr(wave, array, noise):
+def test_empirical_sense_sinr(wave, array, noise, noisy_snapshots):
     """Per-element echo SINR lands within 0.5 dB of the calibration target."""
     scen = generate_scenario(2, n_scatterers=0)
     beams = channel.build_beamformers(scen, array)
@@ -229,36 +212,30 @@ def test_empirical_sense_sinr(wave, array, noise):
     rng = np.random.default_rng(0)
     sig_p = nse_p = 0.0
     for _ in range(8):
-        echo = channel.synthesize_echo(scen, w, array, beams, noise, rng)
-        sig_p += np.mean(np.abs(_signal(echo)) ** 2)
-        nse_p += np.mean(np.abs(_noise(echo)) ** 2)
+        echo = channel.synthesize_echo(scen, w, array, beams, rng)
+        signal = echo.snapshots
+        sig_p += np.mean(np.abs(signal) ** 2)
+        nse_p += np.mean(np.abs(noisy_snapshots(echo, rng, noise)
+                                - signal) ** 2)
     got = 10 * np.log10(sig_p / nse_p)
     assert abs(got - target) < 0.5
 
 
-def test_echo_power_matches_prediction(wave, array, noise, rng):
+def test_echo_power_matches_prediction(wave, array, rng):
     """Mean per-entry signal power equals P * |b chi|^2 within 3%."""
     scen = generate_scenario(2, n_scatterers=0)
     beams = channel.build_beamformers(scen, array)
     w = wave.with_power(1e6)
-    echo = channel.synthesize_echo(scen, w, array, beams, noise, rng,
-                                   noiseless=True)
+    echo = channel.synthesize_echo(scen, w, array, beams, rng)
     pred = w.tx_power * (channel.echo_amplitude(scen, w, 0)
                          * abs(beams.tx_gains[0])) ** 2 / array.size
     # steering entries are unit modulus, so per-entry power is pred*PQ/PQ;
     # measured over all entries (4-QAM symbols are unit modulus too)
-    got = np.mean(np.abs(_signal(echo)) ** 2)
+    got = np.mean(np.abs(echo.snapshots) ** 2)
     assert got == pytest.approx(pred * array.size, rel=0.03)
 
 
-def test_signal_noise_decomposition_exact(wave, array, noise, rng):
-    scen = generate_scenario(4)
-    beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng)
-    np.testing.assert_array_equal(echo.snapshots, _signal(echo) + _noise(echo))
-
-
-def test_total_noise_variance(wave, array, rng):
+def test_total_noise_variance(wave, array, rng, noisy_snapshots):
     """Noise-plus-interference per-entry variance matches the configured
     total within 0.2 dB."""
     nz = NoiseConfig(noise_var=1e-6, inr_sense_db=3.0)
@@ -267,16 +244,18 @@ def test_total_noise_variance(wave, array, rng):
     acc = 0.0
     n_frames = 6
     for _ in range(n_frames):
-        echo = channel.synthesize_echo(scen, wave, array, beams, nz, rng)
-        acc += np.mean(np.abs(_noise(echo)) ** 2)
+        echo = channel.synthesize_echo(scen, wave, array, beams, rng)
+        acc += np.mean(np.abs(noisy_snapshots(echo, rng, nz)
+                              - echo.snapshots) ** 2)
     got_db = 10 * np.log10(acc / n_frames)
     want_db = 10 * np.log10(nz.total_sense_var)
     assert abs(got_db - want_db) < 0.2
 
 
 def _per_path_echo(scen, wave, array, beams, noise, rng, noiseless):
-    """The dense per-path synthesis the factored echo replaced, kept as
-    its reference: (snapshots, signal, noise), each (PQ, N_c, M_s)."""
+    """The dense per-path synthesis the factored echo and its noise fills
+    replaced, kept as their reference: (snapshots, signal, noise), each
+    (PQ, N_c, M_s), the noise drawn in one call after the reflections."""
     nc, ms = wave.n_subcarriers, wave.n_symbols
     symbols, _ = qam.random_symbols((nc, ms), wave.qam_order, rng)
     reflections = channel.draw_reflections(scen, rng)
@@ -308,15 +287,14 @@ def _numerology(name, small_wave, small_array):
 
 def _echo_pair(numerology, n_scatterers, noiseless, small_wave, small_array,
                noise, seed=11):
-    """The factored echo and the per-path reference from equal generators;
-    also the generators after the calls."""
+    """The noiseless factored echo and the per-path reference from equal
+    generators; also the generators after the calls."""
     wave, array = _numerology(numerology, small_wave, small_array)
     wave = wave.with_power(2.5e5)
     scen = generate_scenario(seed, n_scatterers=n_scatterers)
     beams = channel.build_beamformers(scen, array)
     rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng_new,
-                                   noiseless=noiseless)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng_new)
     ref = _per_path_echo(scen, wave, array, beams, noise, rng_ref, noiseless)
     return echo, ref, rng_new, rng_ref, scen, array
 
@@ -326,63 +304,68 @@ def _echo_pair(numerology, n_scatterers, noiseless, small_wave, small_array,
 @pytest.mark.parametrize("numerology", ["default", "small"])
 def test_factored_echo_equals_per_path_synthesis(numerology, n_scatterers,
                                                  noiseless, small_wave,
-                                                 small_array, noise):
-    echo, ref, rng_new, rng_ref, scen, _ = _echo_pair(
+                                                 small_array, noise,
+                                                 noisy_snapshots):
+    """The echo's tensor is the reference's signal, bit for bit.  Noisy:
+    the tensor fill, which draws the noise a block of rows at a time into
+    the first rows of one plane, gives the reference's snapshots, its
+    signal plus the noise drawn in one call, bit for bit.  The generators
+    end in the same state."""
+    echo, (snapshots, signal, _), rng_new, rng_ref, scen, _ = _echo_pair(
         numerology, n_scatterers, noiseless, small_wave, small_array, noise)
     assert scen.n_paths == n_scatterers + 1
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-    for got, want in zip((echo.snapshots, _signal(echo), _noise(echo)), ref):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(echo.snapshots, signal)
     # a second read builds the same tensor
-    np.testing.assert_array_equal(echo.snapshots, ref[0])
+    np.testing.assert_array_equal(echo.snapshots, signal)
+    if not noiseless:
+        np.testing.assert_array_equal(noisy_snapshots(echo, rng_new, noise),
+                                      snapshots)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
 @pytest.mark.parametrize("numerology", ["default", "small"])
 def test_beamform_matches_tensor_contraction(numerology, noiseless,
                                              small_wave, small_array, noise):
-    echo, _, _, _, scen, array = _echo_pair(
+    """Each path's beam equals the contraction of the reference tensor to
+    1e-12: the noiseless beam, or the fixed-beam fill, which draws the
+    real plane and then the imaginary plane into one buffer and reduces
+    each to the beam.  The fill leaves the generator where the reference
+    leaves it."""
+    echo, (snapshots, signal, _), rng_new, rng_ref, scen, array = _echo_pair(
         numerology, 2, noiseless, small_wave, small_array, noise)
-    ws = [channel.sense_rx_beamformer(array, p.aoa) for p in scen.paths]
-    before = [echo.beamform(w) for w in ws]
-    y = echo.snapshots
-    for w, got in zip(ws, before):
+    y = signal if noiseless else snapshots
+    for p in scen.paths:
+        w = channel.sense_rx_beamformer(array, p.aoa)
+        if noiseless:
+            got = echo.beamform(w)
+        else:
+            fill_rng = copy.deepcopy(rng_new)
+            plane = np.full((array.size, echo.symbols.size), np.nan)
+            got = channel._noisy_beam(echo, w, fill_rng, noise.echo_noise_std,
+                                      plane)
+            assert fill_rng.bit_generator.state == rng_ref.bit_generator.state
         want = np.tensordot(w.conj(), y, axes=([0], [0]))
         assert got.shape == want.shape == y.shape[1:]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("numerology", ["default", "small"])
-def test_noise_fills_equal_the_drawn_echo(numerology, small_wave,
-                                          small_array, noise):
-    """The fills that draw the noise of a noiseless echo and reduce it as
-    it is drawn give, bit for bit, the noisy echo drawn in one call: the
-    beam from two planes drawn in turn into one buffer, the tensor from
-    blocks of rows drawn into its first rows.  The generator ends in the
-    same state."""
-    wave, array = _numerology(numerology, small_wave, small_array)
-    wave = wave.with_power(2.5e5)
-    scen = generate_scenario(11, n_scatterers=2)
+def test_echo_draws_the_symbols_then_the_reflections_only(wave, array):
+    """synthesize_echo leaves the generator where qam.random_symbols
+    followed by draw_reflections leaves a copy of it, so a fill draws
+    the echo noise from there; given reflections, after the symbols."""
+    scen = generate_scenario(5, n_scatterers=2)
     beams = channel.build_beamformers(scen, array)
-    start = np.random.default_rng(11)
-    rng = copy.deepcopy(start)
-    echo = channel.synthesize_echo(scen, wave, array, beams, noise, rng)
-    std = noise.echo_noise_std
-
-    def fill(fn, *args):
-        fill_rng = copy.deepcopy(start)
-        bare = channel.synthesize_echo(scen, wave, array, beams, noise,
-                                       fill_rng, noiseless=True)
-        plane = np.full((array.size, wave.n_subcarriers * wave.n_symbols),
-                        np.nan)
-        got = fn(bare, *args, fill_rng, std, plane)
-        assert fill_rng.bit_generator.state == rng.bit_generator.state
-        return got
-
-    for p in scen.paths:
-        w = channel.sense_rx_beamformer(array, p.aoa)
-        assert np.array_equal(fill(channel._noisy_beam, w), echo.beamform(w))
-    assert np.array_equal(fill(channel._noisy_snapshots), echo.snapshots)
+    for given in (None, np.ones(scen.n_paths, dtype=complex)):
+        rng, ref = (np.random.default_rng(5) for _ in range(2))
+        echo = channel.synthesize_echo(scen, wave, array, beams, rng,
+                                       reflections=given)
+        symbols, _ = qam.random_symbols(echo.symbols.shape, wave.qam_order,
+                                        ref)
+        if given is None:
+            channel.draw_reflections(scen, ref)
+        np.testing.assert_array_equal(echo.symbols, symbols)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_echo_holds_no_array_tensor_until_read(small_wave, small_array,
@@ -391,7 +374,7 @@ def test_echo_holds_no_array_tensor_until_read(small_wave, small_array,
     array on the echo."""
     for numerology in ("default", "small"):
         echo, _, _, _, scen, array = _echo_pair(
-            numerology, 2, False, small_wave, small_array, noise)
+            numerology, 2, True, small_wave, small_array, noise)
         size = echo.steering.shape[0] * echo.symbols.size
 
         def tensors():
@@ -451,14 +434,17 @@ def test_comm_phase_slope_and_half_delay(wave, array, noise, rng):
 def test_comm_los_magnitude_constant(wave, array, noise, rng):
     scen = generate_scenario(2, n_scatterers=0)
     beams = channel.build_beamformers(scen, array)
-    com = channel.synthesize_comm(scen, wave, beams, noise, rng,
-                                  noiseless=True)
+    ref = copy.deepcopy(rng)
+    com = channel.synthesize_comm(scen, wave, beams, noise, rng)
     np.testing.assert_allclose(np.abs(com.csi), np.abs(com.csi[0, 0]),
                                rtol=1e-12)
-    # noiseless samples factor exactly as sqrt(P) d h
-    np.testing.assert_allclose(
-        com.samples, np.sqrt(wave.tx_power) * com.symbols * com.csi,
-        atol=1e-15)
+    # the samples are sqrt(P) d h plus the CN noise drawn after the symbols
+    qam.random_symbols(com.symbols.shape, wave.qam_order, ref)
+    nse = channel._complex_normal(ref, com.symbols.shape,
+                                  noise.total_comm_var)
+    np.testing.assert_array_equal(
+        com.samples, np.sqrt(wave.tx_power) * com.symbols * com.csi + nse)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_comm_nlos_needs_reflections(wave, array):

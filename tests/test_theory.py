@@ -212,7 +212,7 @@ def test_velocity_doppler_consistency(wave, array, noise):
     assert rep.mse_distance > 0 and rep.mse_location > 0
 
 
-def test_prediction_tracks_simulation(wave, array, noise):
+def test_prediction_tracks_simulation(wave, array, noise, noisy_snapshots):
     """Predicted range MSE sits within 3 dB of a small Monte Carlo run of
     the actual estimator at 10 dB S-SINR (single-path scene)."""
     from jcs_music.music import beamform_and_erase, music_range
@@ -224,9 +224,10 @@ def test_prediction_tracks_simulation(wave, array, noise):
     rng = np.random.default_rng(2)
     errs = []
     for _ in range(60):
-        echo = channel.synthesize_echo(scen, w, array, beams, noise, rng, c=C)
+        echo = channel.synthesize_echo(scen, w, array, beams, rng, c=C)
         w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
-        h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
+        h_bar = beamform_and_erase(noisy_snapshots(echo, rng, noise), w0,
+                                   echo.symbols)
         ests, _ = music_range(h_bar, w, c=C, n_sources=1)
         d_hat = float(ests[0].value) / 2.0
         errs.append((d_hat - scen.mue_path.d1) ** 2)
@@ -273,7 +274,7 @@ def test_perturbation_stage_matches_per_parameter_bodies(stage, wave, array,
     """The shared stage reproduces each replaced body to rounding, d=1
     for range and Doppler, d=2 for AoA, and draws the same stream."""
     scen, beams, w = _setup(4, wave, array, noise, 5.0)
-    real = theory._noiseless_echo(scen, w, array, beams, noise,
+    real = theory._noiseless_echo(scen, w, array, beams,
                                   np.random.default_rng(0), C)
     p0 = scen.mue_path
     if stage == "aoa":
@@ -316,8 +317,8 @@ def test_aoa_stage_matches_whole_tensor_oracle(wave, array, noise):
             scen, beams, w = _setup(n_scatterers + 10, wave, array, noise,
                                     sinr_db, n_scatterers=n_scatterers)
             rng_ref = np.random.default_rng(n_scatterers)
-            real = theory._noiseless_echo(scen, w, array, beams, noise,
-                                          rng_ref, C)
+            real = theory._noiseless_echo(scen, w, array, beams, rng_ref,
+                                          C)
             y = real.snapshots.reshape(array.size, -1)
             a = spatial_steering(array, scen.mue_path.aoa)
             a1, _ = spatial_steering_derivs(array, scen.mue_path.aoa)

@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the full-precision outputs of every sweep.
+"""Print two SHA-256 digests of the full-precision outputs of every sweep.
 
     python3 tools/output_digest.py [--seeds 0 5]
 
 A change meant to leave the outputs byte-identical must print the same
-digest as its parent on the same machine (run the script in a checkout of
-each).  Per master seed (default: 0) it hashes the rows of
-`run_sweep_mse` in both beam modes, `run_sweep_ber`, `validate_theory`
-(n_draws=200) and `crb_table`, each on 2 points x 3 trials, as
-(sinr, metric, series, value.hex(), ci.hex()); then the bytes of every
-`spectrum_snapshot` array and the hex of its scalars.
+two digests as its parent on the same machine (run the script in a
+checkout of each).  Per master seed (default: 0) it runs `run_sweep_mse`
+in both beam modes, `run_sweep_ber`, `validate_theory` (n_draws=200) and
+`crb_table`, each on 2 points x 3 trials, then `spectrum_snapshot`.
+
+- The rows digest hashes each table's rows as (sinr, metric, series,
+  value.hex(), ci.hex()), then the bytes of every `spectrum_snapshot`
+  array and the hex of its scalars.
+- The estimates digest hashes what the harness's calls return, in call
+  order: every `music_aoa`, `music_range` and `music_doppler` estimate
+  (value, objective, iterations, converged) with the source count, and
+  every `sensing_trial` and `ber_trial` dict in float hex.  A move of one
+  estimate shows here even where the aggregated rows round it away.  The
+  harness makes all of these calls on its calling thread, so their order
+  is fixed.
 
 BLAS is pinned to one thread before numpy is imported, and `jcs_music` is
-imported from this checkout's `src/`.  The digest depends on the machine's
+imported from this checkout's `src/`.  The digests depend on the machine's
 BLAS and CPU, so compare digests made on one machine only.
 """
 
@@ -47,6 +56,41 @@ def tables(ctx, seed: int):
     yield "crb", harness.crb_table(ctx, SENSE_GRID, seed)
 
 
+def _hex(x) -> str:
+    """Full-precision text of a number or of each number in an array."""
+    return " ".join(float(v).hex() for v in np.ravel(x))
+
+
+def _estimates(out) -> str:
+    estimates, decomposition = out
+    return repr(([(_hex(e.value), _hex(e.objective), e.iterations,
+                   e.converged) for e in estimates],
+                 decomposition.source_count))
+
+
+def _trial(result: dict, prefix: str = "") -> str:
+    return " ".join(_trial(v, f"{prefix}{k}.") if isinstance(v, dict)
+                    else f"{prefix}{k}={_hex(v)}" for k, v in result.items())
+
+
+def record_estimates(digest) -> None:
+    """Rebind the harness's estimators and trial estimates so that each
+    call also hashes its name and what it returns into `digest`."""
+    def recording(name, encode):
+        fn = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            digest.update(f"{name} {encode(out)}\n".encode())
+            return out
+        setattr(harness, name, wrapper)
+
+    for name in ("music_aoa", "music_range", "music_doppler"):
+        recording(name, _estimates)
+    for name in ("sensing_trial", "ber_trial"):
+        recording(name, _trial)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0],
@@ -54,7 +98,8 @@ def main() -> int:
     args = ap.parse_args()
     t0 = time.perf_counter()
     ctx = bind(load_config())
-    digest = hashlib.sha256()
+    digest, estimates = hashlib.sha256(), hashlib.sha256()
+    record_estimates(estimates)
     for seed in args.seeds:
         for name, table in tables(ctx, seed):
             digest.update(f"{name} {seed}\n".encode())
@@ -68,7 +113,9 @@ def main() -> int:
             digest.update(key.encode())
             digest.update(val.tobytes() if isinstance(val, np.ndarray)
                           else float(val).hex().encode())
-    print(f"{digest.hexdigest()}  seeds {' '.join(map(str, args.seeds))}, "
+    seeds = " ".join(map(str, args.seeds))
+    print(f"{digest.hexdigest()}  rows, seeds {seeds}")
+    print(f"{estimates.hexdigest()}  estimates, seeds {seeds}, "
           f"{time.perf_counter() - t0:.1f} s")
     return 0
 
