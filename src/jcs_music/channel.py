@@ -32,7 +32,7 @@ def db_to_power(db: float) -> float:
 
 @dataclass(frozen=True)
 class WaveformConfig:
-    """OFDM numerology plus transmit power."""
+    """OFDM numerology, transmit power and the speed of light c."""
 
     n_subcarriers: int = 256
     n_symbols: int = 64
@@ -41,6 +41,7 @@ class WaveformConfig:
     carrier_freq: float = 63e9
     qam_order: int = 4
     tx_power: float = 1.0
+    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         _check((self.n_subcarriers >= 2, "n_subcarriers: must be >= 2"),
@@ -49,7 +50,8 @@ class WaveformConfig:
                (self.guard_interval >= 0, "guard_interval: must be >= 0"),
                (self.carrier_freq > 0, "carrier_freq: must be > 0"),
                (self.qam_order in qam.ORDERS, "qam_order: must be one of "
-                + ", ".join(map(str, qam.ORDERS))))
+                + ", ".join(map(str, qam.ORDERS))),
+               (self.c > 0, "c: must be > 0"))
 
     @property
     def symbol_duration(self) -> float:
@@ -59,8 +61,8 @@ class WaveformConfig:
     def bandwidth(self) -> float:
         return self.n_subcarriers * self.subcarrier_spacing
 
-    def wavelength(self, c: float = SPEED_OF_LIGHT) -> float:
-        return c / self.carrier_freq
+    def wavelength(self) -> float:
+        return self.c / self.carrier_freq
 
     def with_power(self, p: float) -> "WaveformConfig":
         return replace(self, tx_power=p)
@@ -122,23 +124,21 @@ def sense_rx_beamformer(tx_array: ArrayConfig, angle: Angle2D) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
-def echo_amplitude(scenario: Scenario, wave: WaveformConfig, l: int,
-                   c: float = SPEED_OF_LIGHT) -> float:
+def echo_amplitude(scenario: Scenario, wave: WaveformConfig, l: int) -> float:
     """Deterministic part of b_S,l: two-way spreading loss, unit reflection."""
-    lam = wave.wavelength(c)
+    lam = wave.wavelength()
     d = scenario.paths[l].d1
     return float(np.sqrt(lam ** 2 / ((4.0 * np.pi) ** 3 * d ** 4)))
 
 
-def comm_los_amplitude(scenario: Scenario, wave: WaveformConfig,
-                       c: float = SPEED_OF_LIGHT) -> float:
-    lam = wave.wavelength(c)
+def comm_los_amplitude(scenario: Scenario, wave: WaveformConfig) -> float:
+    lam = wave.wavelength()
     return float(lam / (4.0 * np.pi * scenario.mue_path.d1))
 
 
-def comm_nlos_amplitude(scenario: Scenario, wave: WaveformConfig, l: int,
-                        c: float = SPEED_OF_LIGHT) -> float:
-    lam = wave.wavelength(c)
+def comm_nlos_amplitude(scenario: Scenario, wave: WaveformConfig,
+                        l: int) -> float:
+    lam = wave.wavelength()
     p = scenario.paths[l]
     return float(np.sqrt(lam ** 2 / ((4.0 * np.pi) ** 3 * p.d1 ** 2 * p.d2 ** 2)))
 
@@ -176,14 +176,13 @@ def _calibrated_power(gain2: float, var: float, target_sinr_db: float,
 
 def calibrate_power_sense(scenario: Scenario, wave: WaveformConfig,
                           beams: Beamformers, noise: NoiseConfig,
-                          target_sinr_db: float,
-                          c: float = SPEED_OF_LIGHT) -> float:
+                          target_sinr_db: float) -> float:
     """Transmit power that puts the direct echo at the target S-SINR.
 
     Inverts sinr = P * |b_S,0 * chi_0|^2 / (P_IS + sigma_N^2) with the
     reflection factor at its RMS magnitude.
     """
-    gain = echo_amplitude(scenario, wave, 0, c) * abs(beams.tx_gains[0])
+    gain = echo_amplitude(scenario, wave, 0) * abs(beams.tx_gains[0])
     return _calibrated_power(gain ** 2 * scenario.mue_path.reflect_var_sense,
                              noise.total_sense_var, target_sinr_db,
                              "echo path")
@@ -191,10 +190,9 @@ def calibrate_power_sense(scenario: Scenario, wave: WaveformConfig,
 
 def calibrate_power_comm(scenario: Scenario, wave: WaveformConfig,
                          beams: Beamformers, noise: NoiseConfig,
-                         target_sinr_db: float,
-                         c: float = SPEED_OF_LIGHT) -> float:
+                         target_sinr_db: float) -> float:
     """Transmit power that puts the LoS link at the target C-SINR."""
-    gain = comm_los_amplitude(scenario, wave, c) * abs(beams.tx_gains[0])
+    gain = comm_los_amplitude(scenario, wave) * abs(beams.tx_gains[0])
     return _calibrated_power(gain ** 2, noise.total_comm_var, target_sinr_db,
                              "LoS")
 
@@ -252,19 +250,17 @@ def _ramp(wave: WaveformConfig, tau: float, fd: float) -> np.ndarray:
                     np.exp(2j * np.pi * m * wave.symbol_duration * fd))
 
 
-def path_phases(scenario: Scenario, wave: WaveformConfig, l: int,
-                c: float = SPEED_OF_LIGHT) -> np.ndarray:
+def path_phases(scenario: Scenario, wave: WaveformConfig, l: int) -> np.ndarray:
     """Echo phase ramp of path l: round-trip delay and Doppler."""
     p = scenario.paths[l]
-    return _ramp(wave, 2.0 * p.d1 / c, 2.0 * p.v1 / wave.wavelength(c))
+    return _ramp(wave, 2.0 * p.d1 / wave.c, 2.0 * p.v1 / wave.wavelength())
 
 
 def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
                     tx_array: ArrayConfig, beams: Beamformers,
                     rng: np.random.Generator,
                     reflections: np.ndarray | None = None,
-                    fading: str = "phase",
-                    c: float = SPEED_OF_LIGHT) -> EchoRealization:
+                    fading: str = "phase") -> EchoRealization:
     """Noiseless echo Y_S at the BS across all subcarriers/symbols, held
     as per-path factors (see EchoRealization).
 
@@ -281,9 +277,9 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
     factors = np.empty((scenario.n_paths, nc, ms), dtype=complex)
     amp = np.sqrt(wave.tx_power)
     for l in range(scenario.n_paths):
-        b = echo_amplitude(scenario, wave, l, c) * reflections[l]
+        b = echo_amplitude(scenario, wave, l) * reflections[l]
         gain = b * beams.tx_gains[l]
-        np.multiply(amp * gain * symbols, path_phases(scenario, wave, l, c),
+        np.multiply(amp * gain * symbols, path_phases(scenario, wave, l),
                     out=factors[l])
     return EchoRealization(steering=steering, factors=factors,
                            symbols=symbols)
@@ -350,18 +346,17 @@ class CommRealization:
 
 
 def comm_csi(scenario: Scenario, wave: WaveformConfig, beams: Beamformers,
-             reflections: np.ndarray | None = None,
-             c: float = SPEED_OF_LIGHT) -> np.ndarray:
+             reflections: np.ndarray | None = None) -> np.ndarray:
     """True scalar channel h_C[n, m] seen through the aligned beams."""
-    lam = wave.wavelength(c)
+    c, lam = wave.c, wave.wavelength()
     p0 = scenario.mue_path
-    h = (comm_los_amplitude(scenario, wave, c) * beams.tx_gains[0]
+    h = (comm_los_amplitude(scenario, wave) * beams.tx_gains[0]
          * _ramp(wave, p0.d1 / c, p0.v1 / lam))
     if scenario.n_paths > 1 and reflections is None:
         raise ValueError("NLoS paths need the frame's reflection factors")
     for l in range(1, scenario.n_paths):
         p = scenario.paths[l]
-        b = comm_nlos_amplitude(scenario, wave, l, c) * reflections[l]
+        b = comm_nlos_amplitude(scenario, wave, l) * reflections[l]
         h += (b * beams.tx_gains[l]
               * _ramp(wave, (p.d1 + p.d2) / c, (p.v1 + p.v2) / lam))
     return h
@@ -371,8 +366,7 @@ def synthesize_comm(scenario: Scenario, wave: WaveformConfig,
                     beams: Beamformers, noise: NoiseConfig,
                     rng: np.random.Generator,
                     symbols: np.ndarray | None = None,
-                    reflections: np.ndarray | None = None,
-                    c: float = SPEED_OF_LIGHT) -> CommRealization:
+                    reflections: np.ndarray | None = None) -> CommRealization:
     """Received communication samples y_C at the MUE.  Given symbols (a
     preamble) carry zero labels; otherwise random symbols are drawn."""
     nc, ms = wave.n_subcarriers, wave.n_symbols
@@ -380,7 +374,7 @@ def synthesize_comm(scenario: Scenario, wave: WaveformConfig,
         symbols, labels = qam.random_symbols((nc, ms), wave.qam_order, rng)
     else:
         labels = np.zeros_like(symbols, dtype=int)
-    h = comm_csi(scenario, wave, beams, reflections, c)
+    h = comm_csi(scenario, wave, beams, reflections)
     nse = _complex_normal(rng, (nc, ms), noise.total_comm_var)
     samples = np.sqrt(wave.tx_power) * symbols * h + nse
     return CommRealization(samples=samples, csi=h, symbols=symbols,

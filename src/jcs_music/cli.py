@@ -118,10 +118,11 @@ def main(argv=None) -> int:
         sweep["sinr_grid_db"] = args.sinr
     if getattr(args, "scatterers", None) is not None:
         scenario["n_scatterers"] = args.scatterers
+    overrides = {"sweep": sweep, "scenario": scenario}
+    if args.legacy_c:
+        overrides["legacy_c"] = True
     try:
-        cfg = load_config(args.config, overrides={"sweep": sweep,
-                                                  "scenario": scenario})
-        ctx = bind(cfg, legacy_c=args.legacy_c or None)
+        ctx = bind(load_config(args.config, overrides=overrides))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ DEFAULTS: dict[str, Any] = {
     "array": {"rows": 8, "cols": 8},
     # the shipped numerology and noise are the objects' field defaults
     "waveform": {f.name: f.default for f in fields(WaveformConfig)
-                 if f.name != "tx_power"},
+                 if f.name not in ("tx_power", "c")},
     "noise": {f.name: f.default for f in fields(NoiseConfig)},
     "scenario": {
         "n_scatterers": 2,
@@ -99,7 +99,7 @@ def _validate(cfg: dict) -> None:
     _check_types(cfg)
     require(cfg["schema"] == SCHEMA_VERSION,
             f"schema: expected version {SCHEMA_VERSION}")
-    _objects(cfg, speed_of_light(cfg["legacy_c"]))
+    _objects(cfg)
     sc = cfg["scenario"]
     require(0 <= int(sc["n_scatterers"]) <= MAX_SCATTERERS,
             f"scenario.n_scatterers: must be in [0, {MAX_SCATTERERS}], "
@@ -139,10 +139,9 @@ class RunContext:
     array: ArrayConfig
     wave: WaveformConfig
     noise: NoiseConfig
-    c: float
 
 
-def _objects(cfg: dict, c: float):
+def _objects(cfg: dict):
     """(ArrayConfig, WaveformConfig, NoiseConfig) of a config, each value
     cast to the type of its default.  The objects check their own fields;
     a failed check is raised as a ConfigError under its section's key."""
@@ -154,14 +153,13 @@ def _objects(cfg: dict, c: float):
         except ValueError as exc:
             raise ConfigError(f"{section}.{exc}") from None
 
-    wave = build("waveform", WaveformConfig)
-    lam = wave.wavelength(c)
+    wave = build("waveform", WaveformConfig,
+                 c=speed_of_light(cfg["legacy_c"]))
+    lam = wave.wavelength()
     array = build("array", ArrayConfig, spacing=lam / 2.0, wavelength=lam)
     return array, wave, build("noise", NoiseConfig)
 
 
-def bind(cfg: dict, legacy_c: bool | None = None) -> RunContext:
-    legacy = cfg["legacy_c"] if legacy_c is None else legacy_c
-    c = speed_of_light(legacy)
-    array, wave, noise = _objects(cfg, c)
-    return RunContext(config=cfg, array=array, wave=wave, noise=noise, c=c)
+def bind(cfg: dict) -> RunContext:
+    array, wave, noise = _objects(cfg)
+    return RunContext(config=cfg, array=array, wave=wave, noise=noise)

@@ -1,4 +1,8 @@
-"""Physical constants shared across the package."""
+"""Physical constants shared across the package.
+
+A run's speed of light is `WaveformConfig.c`, which `bind` sets from the
+config key `legacy_c`; only the scalar range-steering functions, which
+take no waveform, take `c` as an argument."""
 
 SPEED_OF_LIGHT = 299792458.0
 """Speed of light in vacuum, m/s (exact SI value)."""

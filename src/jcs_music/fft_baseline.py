@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import WaveformConfig
-from .constants import SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -28,8 +27,8 @@ class PeriodogramResult:
     doppler_bin_width: float       # Hz per unpadded bin
 
 
-def range_bin_width_rt(wave: WaveformConfig, c: float = SPEED_OF_LIGHT) -> float:
-    return c / (wave.n_subcarriers * wave.subcarrier_spacing)
+def range_bin_width_rt(wave: WaveformConfig) -> float:
+    return wave.c / (wave.n_subcarriers * wave.subcarrier_spacing)
 
 
 def doppler_bin_width(wave: WaveformConfig) -> float:
@@ -45,12 +44,12 @@ def periodogram_map(h_bar: np.ndarray, pad: int = 1) -> np.ndarray:
     return np.abs(g)
 
 
-def fft_range_doppler(h_bar: np.ndarray, wave: WaveformConfig,
-                      c: float = SPEED_OF_LIGHT) -> PeriodogramResult:
+def fft_range_doppler(h_bar: np.ndarray,
+                      wave: WaveformConfig) -> PeriodogramResult:
     """Peak-bin range/Doppler estimate on the unpadded map."""
     mag = periodogram_map(h_bar)
     kr, kd = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    dr = range_bin_width_rt(wave, c)
+    dr = range_bin_width_rt(wave)
     df = doppler_bin_width(wave)
     r_rt = kr * dr
     fd = kd * df

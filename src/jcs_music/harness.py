@@ -77,8 +77,8 @@ def resolution_constants(ctx: RunContext) -> tuple[float, float]:
     """(range bin, velocity bin) of the on-grid baseline: half its
     round-trip range bin and half a wavelength per Doppler bin."""
     wave = ctx.wave
-    dr = fft_baseline.range_bin_width_rt(wave, ctx.c) / 2.0
-    dv = wave.wavelength(ctx.c) * fft_baseline.doppler_bin_width(wave) / 2.0
+    dr = fft_baseline.range_bin_width_rt(wave) / 2.0
+    dv = wave.wavelength() * fft_baseline.doppler_bin_width(wave) / 2.0
     return dr, dv
 
 
@@ -157,15 +157,14 @@ def _beam_output(ctx: RunContext, echo: channel.EchoRealization,
     return beam / echo.symbols
 
 
-def _beam_range(ctx: RunContext, wave: channel.WaveformConfig,
-                h_bar: np.ndarray):
+def _beam_range(h_bar: np.ndarray, wave: channel.WaveformConfig):
     """Range step of the per-beam chain: the MUSIC range of h_bar the FFT
     anchor associates.  Returns (FFT result, round-trip range, range
     source count)."""
-    per = fft_baseline.fft_range_doppler(h_bar, wave, c=ctx.c)
-    r_ests, dec_r = music_range(h_bar, wave, c=ctx.c)
+    per = fft_baseline.fft_range_doppler(h_bar, wave)
+    r_ests, dec_r = music_range(h_bar, wave)
     r_rt = float(_nearest_estimate(r_ests, per.range_rt,
-                                   period=ctx.c / wave.subcarrier_spacing,
+                                   period=wave.c / wave.subcarrier_spacing,
                                    tol=0.6 * per.range_bin_width).value)
     return per, r_rt, dec_r.source_count
 
@@ -237,11 +236,10 @@ def _frame_draw(ctx: RunContext, scenario: Scenario,
     """Draw of one sensing frame on a set-up scene: calibrated power and
     the echo."""
     p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams, ctx.noise,
-                                         sinr_db, ctx.c)
+                                         sinr_db)
     wave = ctx.wave.with_power(p_tx)
     echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, rng,
-                                   fading=ctx.config["scenario"]["fading"],
-                                   c=ctx.c)
+                                   fading=ctx.config["scenario"]["fading"])
     if use_true_beam:
         h_bar = yield from _beam_output(ctx, echo, scenario.mue_path.aoa, rng)
         return SensingDraw(scenario, wave, h_bar)
@@ -275,18 +273,17 @@ def _ber_draw(ctx: RunContext, csinr_db: float, scen_seed: int,
     scenario = _scene(ctx, scen_seed, mue_x=mue_x)
     beams = channel.build_beamformers(scenario, ctx.array)
     p_tx = channel.calibrate_power_comm(scenario, ctx.wave, beams, ctx.noise,
-                                        csinr_db, ctx.c)
+                                        csinr_db)
     wave = replace(ctx.wave, tx_power=p_tx, qam_order=qam_order)
     refl = channel.draw_reflections(scenario, rng, cfg["fading"])
     pre = qam.preamble(wave.n_subcarriers, wave.n_symbols)
     comm_pre = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
-                                       symbols=pre, reflections=refl, c=ctx.c)
+                                       symbols=pre, reflections=refl)
     echo = channel.synthesize_echo(scenario, wave, ctx.array, beams, rng,
-                                   reflections=refl, fading=cfg["fading"],
-                                   c=ctx.c)
+                                   reflections=refl, fading=cfg["fading"])
     h_bar = yield from _beam_output(ctx, echo, scenario.mue_path.aoa, rng)
     comm_data = channel.synthesize_comm(scenario, wave, beams, ctx.noise, rng,
-                                        reflections=refl, c=ctx.c)
+                                        reflections=refl)
     return BerDraw(wave, comm_pre, h_bar, comm_data)
 
 
@@ -374,7 +371,7 @@ def sensing_trial(ctx: RunContext, draw: SensingDraw) -> dict:
     direct path, for both the subspace and the on-grid estimators."""
     truth = draw.scenario.mue_path
     wave = draw.wave
-    lam = wave.wavelength(ctx.c)
+    lam = wave.wavelength()
 
     if draw.snapshots is None:
         beam_angle, h_bar = truth.aoa, draw.h_bar
@@ -388,7 +385,7 @@ def sensing_trial(ctx: RunContext, draw: SensingDraw) -> dict:
         w = channel.sense_rx_beamformer(ctx.array, beam_angle)
         h_bar = music.beamform_and_erase(draw.snapshots, w, draw.symbols)
 
-    per, r_hat, n_src = _beam_range(ctx, wave, h_bar)
+    per, r_hat, n_src = _beam_range(h_bar, wave)
     d_hat = r_hat / 2.0
     f_hat = _beam_doppler(h_bar, wave, per, n_src)
     v_hat = lam * f_hat / 2.0
@@ -469,9 +466,9 @@ def ber_trial(ctx: RunContext, draw: BerDraw) -> dict:
     wave, comm_data = draw.wave, draw.data
     h_ls = csi.ls_csi(draw.preamble.samples, draw.preamble.symbols,
                       wave.tx_power)
-    per, r_rt, _ = _beam_range(ctx, wave, draw.h_bar)
-    tau_music = r_rt / (2.0 * ctx.c)
-    tau_fft = per.range_rt / (2.0 * ctx.c)
+    per, r_rt, _ = _beam_range(draw.h_bar, wave)
+    tau_music = r_rt / (2.0 * wave.c)
+    tau_fft = per.range_rt / (2.0 * wave.c)
 
     sigma_p2 = csi.estimate_sigma_p(h_ls)
     df = wave.subcarrier_spacing
@@ -523,8 +520,8 @@ def spectrum_snapshot(ctx: RunContext, sinr_db: float = -20.0,
     draw = draw_sensing_trial(ctx, sinr_db, *trial_rng(master_seed, 0, 0),
                               use_true_beam=True)
     scenario, wave, h_bar = draw.scenario, draw.wave, draw.h_bar
-    lam = wave.wavelength(ctx.c)
-    r_grid, s_range = music.range_spectrum(h_bar, wave, c=ctx.c)
+    lam = wave.wavelength()
+    r_grid, s_range = music.range_spectrum(h_bar, wave)
     f_grid, s_dopp = music.doppler_spectrum(h_bar, wave)
 
     mag = fft_baseline.periodogram_map(h_bar, pad=pad)
@@ -578,13 +575,12 @@ def validate_theory(ctx: RunContext, sinr_grid=None,
         rows.extend(_aggregate(acc, sinr, n, master_seed))
 
         p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams,
-                                             ctx.noise, sinr, ctx.c)
+                                             ctx.noise, sinr)
         rep = theory.perturbation_report(scenario, ctx.wave.with_power(p_tx),
                                          ctx.array, beams, ctx.noise,
-                                         seed=master_seed, n_draws=n_draws,
-                                         c=ctx.c)
+                                         seed=master_seed, n_draws=n_draws)
         bound = theory.crb(ctx.wave, ctx.array, sinr, truth.aoa.azimuth,
-                           truth.aoa.elevation, ctx.c)
+                           truth.aoa.elevation)
         for metric, th_val, crb_val in (
                 ("range_mse", rep.mse_distance, bound.distance),
                 ("velocity_mse", rep.mse_velocity, bound.velocity)):
@@ -603,7 +599,7 @@ def crb_table(ctx: RunContext, sinr_grid=None, master_seed: int = 0) -> ResultTa
     rows = []
     for sinr in grid:
         b = theory.crb(ctx.wave, ctx.array, sinr, truth.aoa.azimuth,
-                       truth.aoa.elevation, ctx.c)
+                       truth.aoa.elevation)
         for metric, val in (("range_mse", b.distance),
                             ("velocity_mse", b.velocity),
                             ("azimuth_mse", b.azimuth),

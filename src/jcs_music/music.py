@@ -14,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import WaveformConfig
-from .constants import SPEED_OF_LIGHT
 from .steering import (Angle2D, ArrayConfig, doppler_steering_derivs,
                        range_steering_derivs, spatial_steering,
                        spatial_steering_derivs, spatial_steering_grid)
@@ -234,13 +233,13 @@ def _wrap_estimate(est: SpectrumEstimate, period: float) -> SpectrumEstimate:
 
 
 def music_range(h_bar: np.ndarray, wave: WaveformConfig,
-                c: float = SPEED_OF_LIGHT, n_sources: int | None = None):
+                n_sources: int | None = None):
     """Round-trip range estimates from a per-beam channel matrix.
 
     The ramp runs across subcarriers; the coarse grid steps half an FFT
     range bin over the unambiguous round trip c / df.
     """
-    nc, df = wave.n_subcarriers, wave.subcarrier_spacing
+    nc, df, c = wave.n_subcarriers, wave.subcarrier_spacing, wave.c
     return _line_spectrum_music(
         h_bar, 4 * nc, -1, c / (4.0 * wave.bandwidth),
         lambda r: range_steering_derivs(nc, df, r, c), n_sources)
@@ -270,12 +269,11 @@ def _smoothed_ramp_spectrum(rows: np.ndarray, n_grid: int,
     return _ramp_grid_spectrum(dec.signal_basis, n_grid, sign)
 
 
-def range_spectrum(h_bar: np.ndarray, wave: WaveformConfig,
-                   c: float = SPEED_OF_LIGHT):
+def range_spectrum(h_bar: np.ndarray, wave: WaveformConfig):
     """(round-trip range grid, MUSIC pseudo-spectrum) over the unambiguous
     range c / df, sampled at SPECTRUM_OVERSAMPLE * N_c points."""
-    grid = np.arange(0.0, c / wave.subcarrier_spacing,
-                     c / (SPECTRUM_OVERSAMPLE * wave.bandwidth))
+    grid = np.arange(0.0, wave.c / wave.subcarrier_spacing,
+                     wave.c / (SPECTRUM_OVERSAMPLE * wave.bandwidth))
     return grid, _smoothed_ramp_spectrum(
         h_bar, SPECTRUM_OVERSAMPLE * wave.n_subcarriers, -1)
 

@@ -17,13 +17,13 @@ tensor is never formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, qam
 from .channel import Beamformers, NoiseConfig, WaveformConfig, _complex_normal
-from .constants import SPEED_OF_LIGHT
 from .scenario import Scenario
 from .steering import (ArrayConfig, _element_indices, doppler_steering_derivs,
                        range_steering_derivs, spatial_steering,
@@ -71,13 +71,12 @@ def _effective_rank(s: np.ndarray, n_rows: int, n_cols: int,
 
 def _noiseless_echo(scenario: Scenario, wave: WaveformConfig,
                     array: ArrayConfig, beams: Beamformers,
-                    rng: np.random.Generator,
-                    c: float) -> channel.EchoRealization:
+                    rng: np.random.Generator) -> channel.EchoRealization:
     """Noiseless echo, every reflection factor at its RMS magnitude."""
     rms = np.array([np.sqrt(p.reflect_var_sense) for p in scenario.paths],
                    dtype=complex)
     return channel.synthesize_echo(scenario, wave, array, beams, rng,
-                                   reflections=rms, c=c)
+                                   reflections=rms)
 
 
 def _perturbation_draws(u: np.ndarray, s: np.ndarray, shape: tuple,
@@ -106,15 +105,14 @@ def _perturbation_draws(u: np.ndarray, s: np.ndarray, shape: tuple,
 def aoa_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
                            array: ArrayConfig, beams: Beamformers,
                            noise: NoiseConfig, rng: np.random.Generator,
-                           n_draws: int = 1000,
-                           c: float = SPEED_OF_LIGHT) -> np.ndarray:
+                           n_draws: int = 1000) -> np.ndarray:
     """Draws of the direct-path AoA error (azimuth, elevation), shape (2, n),
     from the array rows of the noiseless snapshot matrix Y = A X.
 
     With X^H = Q R, Y = (A R^H) Q^H and Q has orthonormal columns, so Y's
     left singular pairs are those of the PQ x L matrix A R^H.
     """
-    real = _noiseless_echo(scenario, wave, array, beams, rng, c)
+    real = _noiseless_echo(scenario, wave, array, beams, rng)
     x = real.factors.reshape(len(real.factors), -1)
     r = np.linalg.qr(x.conj().T, mode="r")
     u, s, _ = np.linalg.svd(real.steering @ r.conj().T, full_matrices=False)
@@ -130,8 +128,7 @@ def range_doppler_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
                                      array: ArrayConfig, beams: Beamformers,
                                      noise: NoiseConfig,
                                      rng: np.random.Generator,
-                                     n_draws: int = 1000,
-                                     c: float = SPEED_OF_LIGHT):
+                                     n_draws: int = 1000):
     """Draws of round-trip range error and Doppler error for the direct path.
 
     Returns (delta_r_rt, delta_f), each shape (n_draws,).  The effective
@@ -141,16 +138,17 @@ def range_doppler_perturbation_draws(scenario: Scenario, wave: WaveformConfig,
     Doppler those of the transpose, conj(V).  The range stage draws from
     rng before the Doppler stage.
     """
-    real = _noiseless_echo(scenario, wave, array, beams, rng, c)
+    real = _noiseless_echo(scenario, wave, array, beams, rng)
     w = channel.sense_rx_beamformer(array, scenario.mue_path.aoa)
     h_p = real.beamform(w) / real.symbols
     u, s, vh = np.linalg.svd(h_p, full_matrices=False)
     sigma_tr2 = noise.total_sense_var * inverse_symbol_power(wave.qam_order)
-    lam = wave.wavelength(c)
+    lam = wave.wavelength()
     p0 = scenario.mue_path
 
     a, a1, _ = range_steering_derivs(wave.n_subcarriers,
-                                     wave.subcarrier_spacing, 2.0 * p0.d1, c)
+                                     wave.subcarrier_spacing, 2.0 * p0.d1,
+                                     wave.c)
     delta_r = _perturbation_draws(u, s, h_p.shape, a, a1[:, None], sigma_tr2,
                                   scenario.n_paths, rng, n_draws)[0]
     a, a1, _ = doppler_steering_derivs(wave.n_symbols, wave.symbol_duration,
@@ -181,8 +179,7 @@ def location_error_samples(delta_d: np.ndarray, delta_az: np.ndarray,
 def perturbation_report(scenario: Scenario, wave: WaveformConfig,
                         array: ArrayConfig, beams: Beamformers,
                         noise: NoiseConfig, seed: int = 0,
-                        n_draws: int = 1000,
-                        c: float = SPEED_OF_LIGHT) -> TheoryReport:
+                        n_draws: int = 1000) -> TheoryReport:
     """Predicted direct-path estimation MSEs at the configured power.
 
     Reported range/velocity MSEs follow the harness conventions: one-way
@@ -191,10 +188,10 @@ def perturbation_report(scenario: Scenario, wave: WaveformConfig,
     """
     rng = np.random.default_rng(seed)
     dp = aoa_perturbation_draws(scenario, wave, array, beams, noise, rng,
-                                n_draws, c)
+                                n_draws)
     dr_rt, df = range_doppler_perturbation_draws(scenario, wave, array, beams,
-                                                 noise, rng, n_draws, c)
-    lam = wave.wavelength(c)
+                                                 noise, rng, n_draws)
+    lam = wave.wavelength()
     delta_d = dr_rt / 2.0
     p0 = scenario.mue_path
     loc = location_error_samples(delta_d, dp[0], dp[1], p0.d1,
@@ -208,18 +205,17 @@ def perturbation_report(scenario: Scenario, wave: WaveformConfig,
 
 
 def crb(wave: WaveformConfig, array: ArrayConfig, sinr_db: float,
-        azimuth: float, elevation: float,
-        c: float = SPEED_OF_LIGHT) -> CrbReport:
-    """Closed-form single-target bounds at a given linear-scale S-SINR."""
-    gamma = 10.0 ** (sinr_db / 10.0)
-    if gamma <= 0:
-        raise ValueError("SINR must be positive in linear scale")
-    lam = wave.wavelength(c)
+        azimuth: float, elevation: float) -> CrbReport:
+    """Closed-form single-target bounds at a given S-SINR in dB."""
+    gamma = channel.db_to_power(sinr_db)
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError("SINR must be finite and positive in linear scale")
+    lam = wave.wavelength()
     nc, ms = wave.n_subcarriers, wave.n_symbols
     pq = array.size
     n2 = np.sum(np.arange(nc) ** 2) * wave.subcarrier_spacing ** 2
     m2 = np.sum(np.arange(ms) ** 2) * wave.symbol_duration ** 2
-    c_r = c ** 2 / (32.0 * np.pi ** 2 * gamma * ms * pq * n2)
+    c_r = wave.c ** 2 / (32.0 * np.pi ** 2 * gamma * ms * pq * n2)
     c_v = lam ** 2 / (32.0 * np.pi ** 2 * gamma * nc * pq * m2)
 
     p, q = _element_indices(array)

@@ -46,7 +46,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_resolution_constants():
-    ctx = bind(load_config(), legacy_c=True)
+    ctx = bind(load_config(overrides={"legacy_c": True}))
     dr, dv = harness.resolution_constants(ctx)
     ok = round(dr, 4) == 1.2207 and round(dv, 4) == 17.8571
     _report("criterion 1", ok,
@@ -108,7 +108,7 @@ def test_criterion_5_crb_below_mse_and_validated(theory_sweep):
     wave = channel.WaveformConfig(n_subcarriers=nc, n_symbols=ms,
                                   subcarrier_spacing=df)
     c_light = 299792458.0
-    lam = wave.wavelength(c_light)
+    lam = wave.wavelength()
     arr = ArrayConfig(rows=8, cols=8, spacing=lam / 2, wavelength=lam)
     n = np.arange(nc)
 
@@ -118,7 +118,7 @@ def test_criterion_5_crb_below_mse_and_validated(theory_sweep):
     h = 1e-4
     dmu = (mean_range(80.0 + h) - mean_range(80.0 - h)) / (2 * h)
     fisher = 2.0 * ms * pq * np.sum(np.abs(dmu) ** 2)    # gamma = sigma2 = 1
-    bound = theory.crb(wave, arr, 0.0, 0.0, 1.0, c_light)
+    bound = theory.crb(wave, arr, 0.0, 0.0, 1.0)
     oracle_ok = abs(bound.distance * fisher - 1.0) < 0.01
     ok = violations <= 1 and oracle_ok
     _report("criterion 5", ok,

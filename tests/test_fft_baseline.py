@@ -28,7 +28,7 @@ def _tone(wave, kr, kd, nc=None, ms=None):
 
 
 def test_bin_widths(wave):
-    assert range_bin_width_rt(wave, C) == pytest.approx(
+    assert range_bin_width_rt(wave) == pytest.approx(
         C / (64 * 480e3), rel=1e-12)
     assert doppler_bin_width(wave) == pytest.approx(480e3 / 32, rel=1e-12)
 
@@ -36,7 +36,7 @@ def test_bin_widths(wave):
 def test_on_grid_tone_lands_exactly(wave):
     for kr, kd in [(0, 0), (5, 3), (63, 31), (40, 0)]:
         h = _tone(wave, kr, kd)
-        res = fft_range_doppler(h, wave, c=C)
+        res = fft_range_doppler(h, wave)
         assert res.peak_range_bin == kr
         assert res.peak_doppler_bin == kd
         assert res.range_rt == pytest.approx(kr * res.range_bin_width,

@@ -1,6 +1,7 @@
 """Sweep harness, result tables, config plumbing, and the CLI."""
 
 import copy
+import dataclasses
 import importlib
 import inspect
 import json
@@ -89,7 +90,7 @@ def test_trial_rng_independent_and_deterministic():
 
 
 def test_resolution_constants_legacy(ctx):
-    legacy = bind(load_config(), legacy_c=True)
+    legacy = bind(load_config(overrides={"legacy_c": True}))
     dr, dv = resolution_constants(legacy)
     assert dr == pytest.approx(1.220703125, abs=1e-12)
     assert dv == pytest.approx(17.857142857142858, abs=1e-9)
@@ -247,7 +248,7 @@ def _beam_chain_outputs(fn, *args, **kwargs):
 
 def _assert_in_domains(ctx, ranges, dopplers):
     span = 1.0 / ctx.wave.symbol_duration
-    r_max = ctx.c / ctx.wave.subcarrier_spacing
+    r_max = ctx.wave.c / ctx.wave.subcarrier_spacing
     assert ranges and all(0.0 <= r < r_max for r in ranges), (ranges, r_max)
     assert all(-span / 2 < f <= span / 2 for f in dopplers), (dopplers, span)
 
@@ -282,7 +283,7 @@ def test_target_near_range_wrap_stays_in_domain(mue_x, offset, sinr, seed):
     within 3% (about two range bins) of the user's round trip, on either
     side."""
     d1 = generate_scenario(0, n_scatterers=0, mue_x=mue_x).mue_path.d1
-    c = _small_ctx().c
+    c = _small_ctx().wave.c
     ctx = _small_ctx(scenario={"mue_x": mue_x},
                      waveform={"subcarrier_spacing":
                                c / (2.0 * d1 * (1.0 + offset))})
@@ -302,7 +303,7 @@ def test_noise_only_beam_falls_back_and_stays_in_domain(seed):
     u, s, vh = np.linalg.svd(g[0] + 1j * g[1], full_matrices=False)
     s[1] = s[0]
     h = (u * s) @ vh
-    _, dec = music_range(h, wave, c=ctx.c)
+    _, dec = music_range(h, wave)
     assert dec.fallback and dec.source_count == 1
 
     # an echo whose one path is that matrix, seen through its own beam
@@ -312,7 +313,7 @@ def test_noise_only_beam_falls_back_and_stays_in_domain(seed):
         steering=w[:, None] / np.vdot(w, w), factors=h[None],
         symbols=np.ones(h.shape, dtype=complex))
     h_bar = echo.beamform(w) / echo.symbols
-    per, r_rt, n_src = harness._beam_range(ctx, wave, h_bar)
+    per, r_rt, n_src = harness._beam_range(h_bar, wave)
     assert n_src == 1
     f = harness._beam_doppler(h_bar, wave, per, n_src)
     _assert_in_domains(ctx, [r_rt], [f])
@@ -357,8 +358,7 @@ def test_estimated_beam_draw_carries_the_echo_covariance(numerology, ctx,
     beams = channel.build_beamformers(scenario, c.array)
     echo = channel.synthesize_echo(scenario, draw.wave, c.array, beams,
                                    ref_rng,
-                                   fading=c.config["scenario"]["fading"],
-                                   c=c.c)
+                                   fading=c.config["scenario"]["fading"])
     y = noisy_snapshots(echo, ref_rng, c.noise)
     assert draw.h_bar is None
     assert np.array_equal(draw.symbols, echo.symbols)
@@ -683,9 +683,46 @@ def test_config_overlay_and_bind(tmp_path):
                              "legacy_c": True}))
     ctx = bind(load_config(p))
     assert ctx.wave.n_subcarriers == 32
-    assert ctx.c == 3e8
+    assert ctx.wave.c == 3e8
     assert ctx.array.rows == DEFAULTS["array"]["rows"]
-    assert ctx.array.spacing == pytest.approx(ctx.wave.wavelength(3e8) / 2)
+    assert ctx.array.spacing == pytest.approx(ctx.wave.wavelength() / 2)
+
+
+def test_the_speed_of_light_is_one_waveform_field(tmp_path, capsys,
+                                                  monkeypatch):
+    """c is a checked WaveformConfig field that only `legacy_c` sets: no
+    waveform key, and the config key and the CLI flag bind the same
+    context."""
+    with pytest.raises(ValueError, match=r"^c: must be > 0$"):
+        channel.WaveformConfig(c=0.0)
+    with pytest.raises(ConfigError, match=r"^unknown config key: waveform\.c$"):
+        load_config(overrides={"waveform": {"c": 3e8}})
+
+    ctx = bind(load_config(overrides={"legacy_c": True}))
+    assert ctx.wave.c == 3e8
+    assert ctx.array.wavelength == ctx.wave.wavelength()
+    assert ctx.wave.with_power(2.0).c == 3e8
+    assert dataclasses.replace(ctx.wave, n_symbols=8).c == 3e8
+
+    bound = []
+
+    def spy(c):
+        bound.append(c)
+        return resolution_constants(c)
+
+    monkeypatch.setattr(harness, "resolution_constants", spy)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"legacy_c": True}))
+    outs = []
+    for argv in (["resolution", "--legacy-c"],
+                 ["resolution", "--config", str(p)]):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(bound) == 2
+    for c in bound:
+        assert c.wave.c == 3e8
+        assert c.array.wavelength == c.wave.wavelength()
 
 
 # -- CLI -----------------------------------------------------------------

@@ -45,7 +45,7 @@ def _noiseless_echo(seed, wave, array, n_scatterers=2):
     scen = generate_scenario(seed, n_scatterers=n_scatterers)
     beams = channel.build_beamformers(scen, array)
     rng = np.random.default_rng(seed + 1000)
-    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng)
     return scen, beams, echo
 
 
@@ -71,7 +71,7 @@ def test_noiseless_noise_subspace_orthogonality(wave, array):
         w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
         h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
         un_r = np.linalg.svd(h_bar, full_matrices=True)[0][:, rank:]
-        lam = wave.wavelength(C)
+        lam = wave.wavelength()
         p0 = scen.mue_path
         a = range_steering(wave.n_subcarriers, wave.subcarrier_spacing,
                            2.0 * p0.d1, C)
@@ -90,7 +90,7 @@ def test_noiseless_orthogonality_all_paths_equal_gain(wave, array, noise):
     """With comparable per-path gains every true range and Doppler ramp is
     orthogonal to the noise subspace, across 50 random scenes."""
     nc, ms = wave.n_subcarriers, wave.n_symbols
-    lam = wave.wavelength(C)
+    lam = wave.wavelength()
     n = np.arange(nc)
     m = np.arange(ms)
     for seed in range(50):
@@ -245,14 +245,14 @@ def test_newton_on_music_objectives_equals_oracle(wave, array, noise, rng,
     estimates, field for field, as the loop that evaluated points twice."""
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng)
     snapshots = noisy_snapshots(echo, rng, noise)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(snapshots, w0, echo.symbols)
     y = snapshots.reshape(array.size, -1)
 
     def estimates():
-        return (music_range(h_bar, wave, c=C)[0]
+        return (music_range(h_bar, wave)[0]
                 + music_doppler(h_bar, wave)[0]
                 + music_aoa(covariance(y), array)[0])
 
@@ -312,7 +312,7 @@ def test_subspace_objective_derivatives_match_central_differences(
     within the rounding bound of its dot products."""
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(noisy_snapshots(echo, rng, noise), w0,
                                echo.symbols)
@@ -456,7 +456,7 @@ def test_fft_coarse_grid_matches_steering_spectrum(wave, rng):
 
     # the plotted spectra: one source on 16x finer grids of the same
     # period, from the half-aperture smoothed covariance
-    r_fine, s_r = range_spectrum(h_bar, wave, c=C)
+    r_fine, s_r = range_spectrum(h_bar, wave)
     f_fine, s_f = doppler_spectrum(h_bar, wave)
     np.testing.assert_array_equal(r_fine, np.arange(16 * nc) * (r_step / 4))
     np.testing.assert_array_equal(f_fine, np.arange(16 * ms) * (f_step / 8))
@@ -487,7 +487,7 @@ def test_noiseless_range_matches_dense_grid_oracle(wave, array):
     scen, _, echo = _noiseless_echo(8, wave, array, n_scatterers=0)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
-    ests, _ = music_range(h_bar, wave, c=C)
+    ests, _ = music_range(h_bar, wave)
     r_hat = float(ests[0].value)
     r_true = 2.0 * scen.mue_path.d1
 
@@ -498,7 +498,7 @@ def test_noiseless_range_matches_dense_grid_oracle(wave, array):
     assert abs(r_hat - r_oracle) < 1e-3
     assert abs(r_hat - r_true) < 1e-3
     # the plotted spectrum peaks at the grid point nearest the truth
-    r_grid, spec = range_spectrum(h_bar, wave, c=C)
+    r_grid, spec = range_spectrum(h_bar, wave)
     assert abs(r_grid[np.argmax(spec)] - r_true) <= 0.5 * r_grid[1] + 1e-9
 
 
@@ -507,7 +507,7 @@ def test_noiseless_doppler_matches_truth(wave, array):
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
     ests, _ = music_doppler(h_bar, wave, n_sources=1)
-    f_true = 2.0 * scen.mue_path.v1 / wave.wavelength(C)
+    f_true = 2.0 * scen.mue_path.v1 / wave.wavelength()
     f_span = 1.0 / wave.symbol_duration
     assert float(ests[0].value) % f_span == pytest.approx(f_true % f_span,
                                                           abs=1e-2)
@@ -516,12 +516,12 @@ def test_noiseless_doppler_matches_truth(wave, array):
 def test_scaling_invariance(wave, array, noise, rng, noisy_snapshots):
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(noisy_snapshots(echo, rng, noise), w0,
                                echo.symbols)
-    e1, _ = music_range(h_bar, wave, c=C)
-    e2, _ = music_range((0.3 - 0.7j) * h_bar, wave, c=C)
+    e1, _ = music_range(h_bar, wave)
+    e2, _ = music_range((0.3 - 0.7j) * h_bar, wave)
     v1 = sorted(float(e.value) for e in e1)
     v2 = sorted(float(e.value) for e in e2)
     np.testing.assert_allclose(v1, v2, rtol=1e-9)
@@ -531,7 +531,7 @@ def test_column_permutation_invariance(wave, array, noise, rng,
                                        noisy_snapshots):
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
-    echo = channel.synthesize_echo(scen, wave, array, beams, rng, c=C)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng)
     y = noisy_snapshots(echo, rng, noise).reshape(array.size, -1)
     perm = rng.permutation(y.shape[1])
     e1, _ = music_aoa(covariance(y), array)
@@ -584,7 +584,7 @@ def test_pseudo_spectrum_peaks_at_truth(wave, array):
                            window=wave.n_subcarriers // 2)
     assert abs(grid[np.argmax(spec_s)] - r_true) < 0.1
     # and so does the plotted one, to within half its grid step
-    r_grid, spec = range_spectrum(h_bar, wave, c=C)
+    r_grid, spec = range_spectrum(h_bar, wave)
     assert abs(r_grid[np.argmax(spec)] - r_true) <= 0.5 * r_grid[1] + 1e-9
 
 
@@ -592,7 +592,7 @@ def test_doppler_spectrum_window_variant(wave, array):
     scen, _, echo = _noiseless_echo(12, wave, array, n_scatterers=0)
     w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
     h_bar = beamform_and_erase(echo.snapshots, w0, echo.symbols)
-    f_true = 2.0 * scen.mue_path.v1 / wave.wavelength(C)
+    f_true = 2.0 * scen.mue_path.v1 / wave.wavelength()
     f_span = 1.0 / wave.symbol_duration
     grid = np.linspace(0.0, f_span, 4096, endpoint=False)
     spec = _doppler_oracle(h_bar, wave, grid, n_sources=1,
@@ -621,7 +621,7 @@ def test_estimate_fields_populated(wave, array):
 def test_spectrum_snapshot_matches_steering_oracle(legacy_c, monkeypatch):
     """The snapshot's MUSIC spectra and PSLRs are the smoothed one-source
     steering-matrix spectra on grids of exactly 16*N_c and 16*M_s points."""
-    ctx = bind(load_config(), legacy_c=legacy_c)
+    ctx = bind(load_config(overrides={"legacy_c": legacy_c}))
     seen = {}
 
     def spy(name):
@@ -642,7 +642,7 @@ def test_spectrum_snapshot_matches_steering_oracle(legacy_c, monkeypatch):
     _, (f_grid, _) = seen["doppler_spectrum"]
     assert len(r_grid) == 16 * nc and len(f_grid) == 16 * ms
     np.testing.assert_array_equal(snap["range_grid_m"], r_grid / 2.0)
-    want_r = _range_oracle(h_bar, wave, r_grid, c=ctx.c, n_sources=1,
+    want_r = _range_oracle(h_bar, wave, r_grid, c=ctx.wave.c, n_sources=1,
                            window=nc // 2)
     want_f = _doppler_oracle(h_bar, wave, f_grid, n_sources=1,
                              window=ms // 2)

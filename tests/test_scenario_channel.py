@@ -404,13 +404,13 @@ def test_phase_fading_magnitude_rayleigh_spread(rng):
 def test_echo_phase_ramps(wave):
     """Subcarrier slope is -2 pi df * (2 d / c); symbol slope +2 pi T fd."""
     scen = generate_scenario(2, n_scatterers=0, mue_x=90.0)
-    ph = channel.path_phases(scen, wave, 0, c=C)
+    ph = channel.path_phases(scen, wave, 0)
     p = scen.mue_path
     tau = 2 * p.d1 / C
     slope = np.angle(ph[1, 0] / ph[0, 0])
     expected = -2 * np.pi * wave.subcarrier_spacing * tau
     assert slope == pytest.approx(np.angle(np.exp(1j * expected)), abs=1e-9)
-    fd = 2 * p.v1 / wave.wavelength(C)
+    fd = 2 * p.v1 / wave.wavelength()
     slope_m = np.angle(ph[0, 1] / ph[0, 0])
     assert slope_m == pytest.approx(
         np.angle(np.exp(2j * np.pi * wave.symbol_duration * fd)), abs=1e-9)
@@ -421,12 +421,12 @@ def test_comm_phase_slope_and_half_delay(wave, array, noise, rng):
     exactly twice as steep."""
     scen = generate_scenario(2, n_scatterers=0, mue_x=90.0)
     beams = channel.build_beamformers(scen, array)
-    h = channel.comm_csi(scen, wave, beams, c=C)
+    h = channel.comm_csi(scen, wave, beams)
     tau = scen.mue_path.d1 / C
     dphi = np.angle(h[1:, 0] * np.conj(h[:-1, 0]))
     expected = np.angle(np.exp(-2j * np.pi * wave.subcarrier_spacing * tau))
     np.testing.assert_allclose(dphi, expected, atol=1e-9)
-    echo_ph = channel.path_phases(scen, wave, 0, c=C)
+    echo_ph = channel.path_phases(scen, wave, 0)
     d_echo = np.angle(echo_ph[1, 0] / echo_ph[0, 0])
     assert d_echo == pytest.approx(np.angle(np.exp(2j * expected)), abs=1e-9)
 

@@ -5,9 +5,11 @@
 
 A change meant to leave the outputs byte-identical must print the same
 two digests as its parent on the same machine (run the script in a
-checkout of each).  Per master seed (default: 0) it runs `run_sweep_mse`
-in both beam modes, `run_sweep_ber`, `validate_theory` (n_draws=200) and
-`crb_table`, each on 2 points x 3 trials, then `spectrum_snapshot`.
+checkout of each).  Per master seed (default: 0), and per speed of light
+(the exact value, then the config's `{"legacy_c": true}`), it runs
+`run_sweep_mse` in both beam modes, `run_sweep_ber`, `validate_theory`
+(n_draws=200) and `crb_table`, each on 2 points x 3 trials, then
+`spectrum_snapshot`.
 
 - The rows digest hashes each table's rows as (sinr, metric, series,
   value.hex(), ci.hex()), then the bytes of every `spectrum_snapshot`
@@ -43,6 +45,8 @@ from jcs_music import bind, harness, load_config  # noqa: E402
 SENSE_GRID = [0.0, 10.0]
 LINK_GRID = [10.0, 20.0]
 TRIALS = 3
+# (label, config overrides) of each speed of light the digests cover
+CONSTANTS = (("exact-c", {}), ("legacy-c", {"legacy_c": True}))
 
 
 def tables(ctx, seed: int):
@@ -97,22 +101,25 @@ def main() -> int:
                     help="master seeds to hash (default: 0)")
     args = ap.parse_args()
     t0 = time.perf_counter()
-    ctx = bind(load_config())
+    contexts = [(label, bind(load_config(overrides=overrides)))
+                for label, overrides in CONSTANTS]
     digest, estimates = hashlib.sha256(), hashlib.sha256()
     record_estimates(estimates)
     for seed in args.seeds:
-        for name, table in tables(ctx, seed):
-            digest.update(f"{name} {seed}\n".encode())
-            for r in table.rows:
-                digest.update(repr((r.sinr_db, r.metric, r.series,
-                                    float(r.value).hex(),
-                                    float(r.ci).hex())).encode())
-        snap = harness.spectrum_snapshot(ctx, master_seed=seed)
-        for key in sorted(snap):
-            val = snap[key]
-            digest.update(key.encode())
-            digest.update(val.tobytes() if isinstance(val, np.ndarray)
-                          else float(val).hex().encode())
+        for label, ctx in contexts:
+            for name, table in tables(ctx, seed):
+                digest.update(f"{name} {label} {seed}\n".encode())
+                for r in table.rows:
+                    digest.update(repr((r.sinr_db, r.metric, r.series,
+                                        float(r.value).hex(),
+                                        float(r.ci).hex())).encode())
+            digest.update(f"spectrum {label} {seed}\n".encode())
+            snap = harness.spectrum_snapshot(ctx, master_seed=seed)
+            for key in sorted(snap):
+                val = snap[key]
+                digest.update(key.encode())
+                digest.update(val.tobytes() if isinstance(val, np.ndarray)
+                              else float(val).hex().encode())
     seeds = " ".join(map(str, args.seeds))
     print(f"{digest.hexdigest()}  rows, seeds {seeds}")
     print(f"{estimates.hexdigest()}  estimates, seeds {seeds}, "
