@@ -27,16 +27,19 @@ def estimate_sigma_p(h_hat: np.ndarray) -> float:
     For an LoS-dominant channel the per-snapshot covariance
     H H^H / M_s has one signal eigenvalue; the remaining eigenvalues
     (structural zeros included) average to the per-entry noise variance
-    when divided by N_c - 1.  The nonzero eigenvalues are s_k^2 / M_s for
-    the singular values s_k of H, so the N_c x N_c covariance is never
-    formed.
+    when divided by N_c - 1.  The nonzero eigenvalues are those of the
+    smaller Gram matrix (H^H H when N_c > M_s) divided by M_s, so the sum
+    of all but its largest eigenvalue gives the floor and the
+    N_c x N_c covariance is never formed when it is the larger.
     """
-    nc = h_hat.shape[0]
+    nc, ms = h_hat.shape
     if nc < 2:
         raise ValueError("need at least two subcarriers")
-    s = np.linalg.svd(h_hat, compute_uv=False)
-    # svd is descending: all but the first are the trailing ones
-    return float(np.sum(s[1:] ** 2) / h_hat.shape[1] / (nc - 1))
+    gram = h_hat.conj().T @ h_hat if nc > ms else h_hat @ h_hat.conj().T
+    # eigvalsh is ascending: all but the last are the trailing ones; a
+    # noiseless channel's floor may round below zero
+    floor = np.sum(np.linalg.eigvalsh(gram)[:-1]) / ms / (nc - 1)
+    return max(float(floor), 0.0)
 
 
 def initial_obs_variance(h: np.ndarray, tau_hat: float,

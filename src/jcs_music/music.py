@@ -140,14 +140,40 @@ def _pseudo_spectrum(proj: np.ndarray, n: int, axis: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _aoa_grid(rows: int, cols: int, spacing: float, wavelength: float):
-    """Coarse AoA grid and its steering matrix, cached per array config."""
+    """Coarse AoA grid (az over [-180, 180), el over [0, 90] degrees) and
+    the steering matrix of its azimuths in [-180, 0) only, cached per
+    array config and read-only, since every `music_aoa` shares it.
+
+    a(az + pi, el) = conj(a(az, el)), so the other half of the grid is
+    the conjugate of this one; that needs az + pi on the grid, so 180
+    degrees must be a whole number of AOA_GRID_STEP_DEG steps.  The half
+    matrix is PQ x (180 * 91) at the 1-degree step: 16.8 MB for 8 x 8.
+    """
     step = AOA_GRID_STEP_DEG
+    if (180.0 / step) % 1:
+        raise ValueError("AOA_GRID_STEP_DEG must divide 180 degrees, "
+                         f"got {step}")
     az = np.deg2rad(np.arange(-180.0, 180.0, step))
     el = np.deg2rad(np.arange(0.0, 90.0 + step / 2, step))
-    azg, elg = np.meshgrid(az, el, indexing="ij")
+    azg, elg = np.meshgrid(az[:len(az) // 2], el, indexing="ij")
     cfg = ArrayConfig(rows, cols, spacing, wavelength)
-    a = spatial_steering_grid(cfg, azg.ravel(), elg.ravel())
-    return az, el, a
+    a_half = spatial_steering_grid(cfg, azg.ravel(), elg.ravel())
+    for arr in (az, el, a_half):
+        arr.flags.writeable = False
+    return az, el, a_half
+
+
+def _aoa_spectrum(signal_basis: np.ndarray, array: ArrayConfig):
+    """(az, el, pseudo-spectrum of shape (len(az), len(el))) on the coarse
+    AoA grid, from one product [U_s, conj(U_s)]^H A_half with the cached
+    half-azimuth steering: |U_s^H conj(a)| = |conj(U_s)^H a|, so the
+    conjugate rows give the azimuths in [0, 180)."""
+    az, el, a_half = _aoa_grid(array.rows, array.cols, array.spacing,
+                               array.wavelength)
+    proj = np.vstack([signal_basis.conj().T, signal_basis.T]) @ a_half
+    spec = _pseudo_spectrum(proj.reshape(2, signal_basis.shape[1], -1),
+                            array.size, axis=1)
+    return az, el, spec.reshape(len(az), len(el))
 
 
 def music_aoa(cov: np.ndarray, array: ArrayConfig,
@@ -156,24 +182,23 @@ def music_aoa(cov: np.ndarray, array: ArrayConfig,
 
     cov is `covariance` of the (PQ, N_c*M_s) echo matrix; the
     estimated-beam draw takes it beside the tensor.  Its `eigh` is split
-    with max_rank = PQ.  Returns (list of SpectrumEstimate with
-    Angle2D-like value arrays, SubspaceDecomposition).
+    with max_rank = PQ, and the grid spectrum reads the half-azimuth
+    steering of `_aoa_grid` through `_aoa_spectrum`.  Returns (list of
+    SpectrumEstimate with Angle2D-like value arrays,
+    SubspaceDecomposition).
     """
     if np.shape(cov) != (array.size, array.size):
         raise ValueError(f"cov must be the {array.size} x {array.size} "
                          f"array covariance, got shape {np.shape(cov)}")
     dec = decompose(cov, max_rank=array.size, n_sources=n_sources)
-    az, el, a_grid = _aoa_grid(array.rows, array.cols, array.spacing,
-                               array.wavelength)
-    spec = _pseudo_spectrum(dec.signal_basis.conj().T @ a_grid, array.size,
-                            axis=0)
+    az, el, spec = _aoa_spectrum(dec.signal_basis, array)
 
     def steer(p):
         ang = Angle2D(float(p[0]), float(p[1]))
         return (spatial_steering(array, ang),
                 *spatial_steering_derivs(array, ang))
 
-    return _refine_peaks(dec, spec.reshape(len(az), len(el)), (True, False),
+    return _refine_peaks(dec, spec, (True, False),
                          lambda i, j: np.array([az[i], el[j]]), steer,
                          np.deg2rad(AOA_GRID_STEP_DEG)), dec
 

@@ -16,8 +16,9 @@ class SourceCount:
 @dataclass(frozen=True)
 class SubspaceDecomposition:
     eigenvalues: np.ndarray    # real, descending
-    signal_basis: np.ndarray   # columns 0..count-1
-    noise_basis: np.ndarray    # remaining columns
+    signal_basis: np.ndarray   # eigenvectors 0..count-1
+    noise_basis: np.ndarray    # orthonormal complement of signal_basis,
+                               # by QR in a tall `decompose_snapshots`
     source_count: int
     fallback: bool
 
@@ -101,23 +102,16 @@ def detect_source_count(eigenvalues: np.ndarray, epsilon: float = 1.0,
     return SourceCount(count=max(count, 1), fallback=fallback)
 
 
-def _split(w: np.ndarray, u: np.ndarray, max_rank: int | None,
-           n_sources: int | None) -> SubspaceDecomposition:
-    """Signal/noise split of descending eigenvalues w with eigenvectors
-    u, as `decompose` documents it."""
-    dim = u.shape[0]
+def _source_count(w: np.ndarray, dim: int, max_rank: int | None,
+                  n_sources: int | None) -> tuple[int, bool]:
+    """(count, fallback) of descending eigenvalues w of a dim x dim
+    covariance, as `decompose` documents it."""
     if n_sources is None:
         sc = detect_source_count(w, max_rank=max_rank)
-        count, fallback = sc.count, sc.fallback
-    elif 1 <= n_sources < dim:
-        count, fallback = int(n_sources), False
-    else:
-        raise ValueError(f"n_sources must be in [1, {dim}), got {n_sources}")
-    return SubspaceDecomposition(eigenvalues=w,
-                                 signal_basis=u[:, :count],
-                                 noise_basis=u[:, count:],
-                                 source_count=count,
-                                 fallback=fallback)
+        return sc.count, sc.fallback
+    if 1 <= n_sources < dim:
+        return int(n_sources), False
+    raise ValueError(f"n_sources must be in [1, {dim}), got {n_sources}")
 
 
 def decompose(cov: np.ndarray, max_rank: int | None = None,
@@ -130,25 +124,40 @@ def decompose(cov: np.ndarray, max_rank: int | None = None,
     """
     w, u = np.linalg.eigh(cov)
     order = np.argsort(w)[::-1]
-    return _split(w[order], u[:, order], max_rank, n_sources)
+    w, u = w[order], u[:, order]
+    count, fallback = _source_count(w, u.shape[0], max_rank, n_sources)
+    return SubspaceDecomposition(eigenvalues=w, signal_basis=u[:, :count],
+                                 noise_basis=u[:, count:],
+                                 source_count=count, fallback=fallback)
 
 
 def decompose_snapshots(snapshots: np.ndarray,
                         n_sources: int | None = None) -> SubspaceDecomposition:
     """`decompose` of covariance(snapshots) with max_rank = min(shape).
 
-    A tall matrix (more rows than snapshots) is split from its full SVD
+    A tall matrix (more rows than snapshots) is split from its thin SVD
     Y = U S V^H: the covariance eigenvalues are S^2 / n_snapshots, padded
-    with the structural zeros, and its eigenvectors are the columns of U.
-    That skips the rank-deficient rows x rows covariance and its `eigh`.
-    A wide or square matrix (the 64 x 256 Doppler matrix) takes the
-    covariance `eigh`, which is the cheaper of the two there.
+    with the structural zeros, and its signal basis is the leading
+    columns U_s of U.  The noise basis is the orthonormal complement of
+    U_s, the trailing columns of the complete QR of U_s, so neither the
+    rank-deficient rows x rows covariance nor the full U is formed.  A
+    count past the rank (an override) takes its extra signal columns
+    from the complement of U.  A wide or square matrix (the 64 x 256
+    Doppler matrix) takes the covariance `eigh`, which is the cheaper of
+    the two there.
     """
     y = _matrix(snapshots)
     dim, n_snap = y.shape
     if dim <= n_snap:
         return decompose(covariance(y), max_rank=dim, n_sources=n_sources)
-    u, s, _ = np.linalg.svd(y)
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
     w = np.zeros(dim)
     w[:n_snap] = s ** 2 / n_snap
-    return _split(w, u, n_snap, n_sources)
+    count, fallback = _source_count(w, dim, n_snap, n_sources)
+    if count > n_snap:
+        u = np.hstack([u, np.linalg.qr(u, mode="complete")[0][:, n_snap:]])
+    signal = u[:, :count]
+    return SubspaceDecomposition(
+        eigenvalues=w, signal_basis=signal,
+        noise_basis=np.linalg.qr(signal, mode="complete")[0][:, count:],
+        source_count=count, fallback=fallback)

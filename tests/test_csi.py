@@ -110,6 +110,14 @@ def test_sigma_p_matches_covariance_eigenvalues(shape):
     assert csi.estimate_sigma_p(h) == pytest.approx(want, rel=1e-10)
 
 
+def test_sigma_p_is_never_negative():
+    """A noiseless rank-one channel's eigenvalue floor can round below
+    zero; a variance estimate must not."""
+    h = _los_channel(256, 64, 480e3, 1.5e-7, amp=3.0)
+    h = h * np.exp(2j * np.pi * np.random.default_rng(256).random(64))
+    assert csi.estimate_sigma_p(h) >= 0.0
+
+
 def test_sigma_p_needs_two_subcarriers():
     with pytest.raises(ValueError):
         csi.estimate_sigma_p(np.ones((1, 4), dtype=complex))

@@ -18,7 +18,7 @@ from jcs_music.steering import (Angle2D, ArrayConfig, doppler_steering,
                                 doppler_steering_derivs, doppler_steering_grid,
                                 range_steering, range_steering_derivs,
                                 range_steering_grid, spatial_steering,
-                                spatial_steering_derivs)
+                                spatial_steering_derivs, spatial_steering_grid)
 from jcs_music.subspace import (covariance, decompose, decompose_snapshots,
                                 smoothed_covariance)
 
@@ -539,6 +539,70 @@ def test_column_permutation_invariance(wave, array, noise, rng,
     v1 = sorted(tuple(np.round(e.value, 10)) for e in e1)
     v2 = sorted(tuple(np.round(e.value, 10)) for e in e2)
     assert v1 == v2
+
+
+def _full_grid_aoa_spectrum(signal_basis, array):
+    """The AoA pseudo-spectrum as music_aoa computed it before its grid
+    took the half-azimuth symmetry: the steering vector of every one of
+    the 360 azimuths built, shape (n_az, n_el)."""
+    step = music.AOA_GRID_STEP_DEG
+    az = np.deg2rad(np.arange(-180.0, 180.0, step))
+    el = np.deg2rad(np.arange(0.0, 90.0 + step / 2, step))
+    azg, elg = np.meshgrid(az, el, indexing="ij")
+    a = spatial_steering_grid(array, azg.ravel(), elg.ravel())
+    f = array.size - np.sum(np.abs(signal_basis.conj().T @ a) ** 2, axis=0)
+    return az, el, (1.0 / np.maximum(f, 1e-300)).reshape(len(az), len(el))
+
+
+@pytest.mark.parametrize("source", ["echo", "random"])
+@pytest.mark.parametrize("shape", [(8, 8), (3, 5)], ids=["8x8", "3x5"])
+def test_half_azimuth_aoa_grid_matches_full_grid(wave, shape, source):
+    """a(az + pi, el) = conj(a(az, el)): the spectrum from the cached
+    half-azimuth steering equals the full-grid one to rounding, on the
+    same grid, with the same peaks; the shared cache is read-only."""
+    lam = wave.wavelength()
+    arr = ArrayConfig(*shape, spacing=lam / 2, wavelength=lam)
+    rng = np.random.default_rng(7)
+    if source == "echo":
+        _, _, echo = _noiseless_echo(3, wave, arr)
+        y = echo.snapshots.reshape(arr.size, -1)
+    else:
+        y = np.zeros((arr.size, 4 * arr.size), dtype=complex)
+    y = y + 0.3 * (rng.standard_normal(y.shape)
+                   + 1j * rng.standard_normal(y.shape))
+    cov = covariance(y)
+    for n_sources in (None, 1, 3):
+        dec = decompose(cov, max_rank=arr.size, n_sources=n_sources)
+        az, el, spec = music._aoa_spectrum(dec.signal_basis, arr)
+        az0, el0, want = _full_grid_aoa_spectrum(dec.signal_basis, arr)
+        np.testing.assert_array_equal(az, az0)
+        np.testing.assert_array_equal(el, el0)
+        np.testing.assert_allclose(spec, want, rtol=1e-10)
+        for got, ref in zip(_peaks(spec, 6, (True, False)),
+                            _peaks(want, 6, (True, False))):
+            np.testing.assert_array_equal(got, ref)
+    for cached in music._aoa_grid(arr.rows, arr.cols, arr.spacing,
+                                  arr.wavelength):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+
+
+@pytest.mark.parametrize("step", [0.5, 0.7, 4.0, 7.0, 40.0, 90.0, 360.0])
+def test_aoa_grid_step_must_divide_180_degrees(monkeypatch, step):
+    """The half-azimuth steering covers the negative azimuths, and the
+    conjugate half needs az + pi on the grid: a step that does not divide
+    180 degrees is refused."""
+    monkeypatch.setattr(music, "AOA_GRID_STEP_DEG", step)
+    if (180.0 / step) % 1:
+        with pytest.raises(ValueError, match="AOA_GRID_STEP_DEG"):
+            music._aoa_grid.__wrapped__(2, 3, 0.5, 1.0)
+        return
+    az, el, a_half = music._aoa_grid.__wrapped__(2, 3, 0.5, 1.0)
+    half = round(180 / step)
+    assert len(az) == 2 * half
+    assert a_half.shape == (6, half * len(el))
+    assert np.all(az[:half] < 0) and np.all(az[half:] >= 0)
 
 
 def test_music_aoa_rejects_what_is_not_the_array_covariance(array):

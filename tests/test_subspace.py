@@ -163,6 +163,11 @@ def test_decompose_snapshots_matches_covariance_eigh(shape, rng):
                                _projector(ref.signal_basis), atol=1e-12)
     np.testing.assert_allclose(_projector(dec.noise_basis),
                                _projector(ref.noise_basis), atol=1e-12)
+    # the tall noise basis is the orthonormal complement of the signal one
+    un, us = dec.noise_basis, dec.signal_basis
+    np.testing.assert_allclose(un.conj().T @ un,
+                               np.eye(n - dec.source_count), atol=1e-12)
+    np.testing.assert_allclose(us.conj().T @ un, 0.0, atol=1e-12)
 
     # the override, and its bounds, as in decompose
     forced = decompose_snapshots(y, n_sources=3)
@@ -172,6 +177,10 @@ def test_decompose_snapshots_matches_covariance_eigh(shape, rng):
         _projector(decompose(covariance(y), n_sources=3).noise_basis),
         atol=1e-12)
     assert decompose_snapshots(y, n_sources=n - 1).noise_basis.shape == (n, 1)
+    # an override past the rank: signal and noise stay one unitary basis
+    past = decompose_snapshots(y, n_sources=n - 1)
+    basis = np.hstack([past.signal_basis, past.noise_basis])
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(n), atol=1e-12)
     for bad in (0, n, n + 1):
         with pytest.raises(ValueError, match="n_sources"):
             decompose_snapshots(y, n_sources=bad)
