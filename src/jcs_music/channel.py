@@ -52,6 +52,14 @@ class WaveformConfig:
                (self.qam_order in qam.ORDERS, "qam_order: must be one of "
                 + ", ".join(map(str, qam.ORDERS))),
                (self.c > 0, "c: must be > 0"))
+        # the bounds square the symbol duration and the bandwidth
+        def finite_squares(*xs):
+            return all(math.isfinite(x * x) for x in xs)
+        _check((finite_squares(1.0 / self.subcarrier_spacing, self.bandwidth),
+                "subcarrier_spacing: must give a symbol duration and a "
+                "bandwidth with finite squares"),
+               (finite_squares(self.symbol_duration), "guard_interval: must "
+                "give a symbol duration with a finite square"))
 
     @property
     def symbol_duration(self) -> float:
@@ -201,29 +209,37 @@ def calibrate_power_comm(scenario: Scenario, wave: WaveformConfig,
 class EchoRealization:
     """One noiseless echo frame, held as per-path factors.
 
-    Y = sum_l steering[:, l] (x) factors[l].  `beamform` reads one beam's
-    output from the factors; only 2-D AoA estimation reads the whole
-    (PQ, N_c, M_s) tensor, which `snapshots` builds on every read.  The
-    noise is added by the fills `_noisy_beam` and `_noisy_snapshots`.
+    Y = sum_l steering[:, l] (x) factors[l].  The echo holds only the
+    (PQ, L) steering and the (L, N_c, M_s) factors, never a tensor.
+    `beamform` reads one beam's output from the factors; only 2-D AoA
+    estimation reads the whole (PQ, N_c, M_s) tensor, which `snapshots`
+    builds on every read and `_noisy_snapshots` builds a block of rows at
+    a time, with the same arithmetic per row.  The noise is added by the
+    fills `_noisy_beam` and `_noisy_snapshots`.
     """
 
     steering: np.ndarray           # (PQ, L) echo steering matrix
     factors: np.ndarray            # (L, N_c, M_s) sqrt(P) b_l chi_l d * ramp_l
     symbols: np.ndarray            # (N_c, M_s)
 
-    @property
-    def snapshots(self) -> np.ndarray:
-        """(PQ, N_c, M_s) noiseless echo tensor, built one antenna row at
-        a time: the paths summed in order through one (N_c, M_s) term
-        buffer."""
+    def _build_rows(self, out: np.ndarray, first: int) -> np.ndarray:
+        """Rows first .. first + len(out) - 1 of the noiseless tensor,
+        written into `out` one antenna row at a time: the paths summed in
+        order through one (N_c, M_s) term buffer."""
         f = self.factors
-        y = np.empty((len(self.steering),) + f.shape[1:], dtype=f.dtype)
         term = np.empty_like(f[0])
-        for row, a in zip(y, self.steering):
+        for row, a in zip(out, self.steering[first:]):
             np.multiply(a[0], f[0], out=row)
             for l in range(1, len(f)):
                 row += np.multiply(a[l], f[l], out=term)
-        return y
+        return out
+
+    @property
+    def snapshots(self) -> np.ndarray:
+        """(PQ, N_c, M_s) noiseless echo tensor."""
+        f = self.factors
+        return self._build_rows(
+            np.empty((len(self.steering),) + f.shape[1:], dtype=f.dtype), 0)
 
     def beamform(self, w: np.ndarray, planes=None) -> np.ndarray:
         """Beam output w^H Y, shape (N_c, M_s): (w^H A) X, plus w^H N when
@@ -291,8 +307,8 @@ def _complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     return std * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-# Rows of echo noise an estimated-beam fill draws at a time, into the
-# first rows of its plane: 1 MiB at the shipped N_c*M_s = 16 384.
+# Rows of echo noise an estimated-beam fill draws at a time, into its
+# block buffer: 1 MiB at the shipped N_c*M_s = 16 384.
 NOISE_BLOCK_ROWS = 8
 
 
@@ -322,16 +338,27 @@ def _noisy_beam(echo: EchoRealization, w: np.ndarray,
 
 
 def _noisy_snapshots(echo: EchoRealization, rng: np.random.Generator,
-                     std: float, plane: np.ndarray) -> np.ndarray:
+                     std: float, block: np.ndarray) -> np.ndarray:
     """echo.snapshots of the noiseless `echo` with its noise drawn from
     rng NOISE_BLOCK_ROWS (N_c*M_s,) rows at a time, real parts first,
-    into the first rows of `plane`; the rest of `plane` is not touched."""
-    y = echo.snapshots
+    into the first rows of `block`, which needs min(NOISE_BLOCK_ROWS, PQ)
+    rows; the rest of `block` is not touched.
+
+    Each block of tensor rows is built and takes its real noise while it
+    is still in cache, then a second pass adds the imaginary noise.  The
+    noise is drawn in the order of one real plane and one imaginary plane
+    and added to the rows built as `snapshots` builds them, so the tensor
+    is the same bit for bit; only the tensor and one block of noise are
+    held."""
+    f = echo.factors
+    y = np.empty((len(echo.steering),) + f.shape[1:], dtype=f.dtype)
     rows = y.reshape(len(y), -1)
-    for part in (rows.real, rows.imag):
-        for i in range(0, len(part), NOISE_BLOCK_ROWS):
-            block = part[i:i + NOISE_BLOCK_ROWS]
-            block += _fill_echo_noise(rng, plane[:len(block)], std)
+    for build, plane in ((True, rows.real), (False, rows.imag)):
+        for i in range(0, len(y), NOISE_BLOCK_ROWS):
+            if build:
+                echo._build_rows(y[i:i + NOISE_BLOCK_ROWS], i)
+            part = plane[i:i + NOISE_BLOCK_ROWS]
+            part += _fill_echo_noise(rng, block[:len(part)], std)
     return y
 
 

@@ -24,6 +24,8 @@ NEWTON_MAX_ITER = 20
 NEWTON_TOL = 1e-7
 CURVATURE_TOL = 1e-14
 AOA_GRID_STEP_DEG = 1.0
+# grid columns `_aoa_grid` builds at a time: 1 MiB of steering for 8 x 8
+AOA_GRID_CHUNK = 1024
 # points per unit of N_c (range) or M_s (Doppler) in the plotted spectra
 SPECTRUM_OVERSAMPLE = 16
 
@@ -148,6 +150,10 @@ def _aoa_grid(rows: int, cols: int, spacing: float, wavelength: float):
     the conjugate of this one; that needs az + pi on the grid, so 180
     degrees must be a whole number of AOA_GRID_STEP_DEG steps.  The half
     matrix is PQ x (180 * 91) at the 1-degree step: 16.8 MB for 8 x 8.
+    It is filled AOA_GRID_CHUNK columns at a time by
+    `spatial_steering_grid`, which computes each column on its own, so
+    the temporaries of one chunk, not of the whole grid, sit beside it
+    and every entry is what one call over the whole grid gives.
     """
     step = AOA_GRID_STEP_DEG
     if (180.0 / step) % 1:
@@ -156,8 +162,12 @@ def _aoa_grid(rows: int, cols: int, spacing: float, wavelength: float):
     az = np.deg2rad(np.arange(-180.0, 180.0, step))
     el = np.deg2rad(np.arange(0.0, 90.0 + step / 2, step))
     azg, elg = np.meshgrid(az[:len(az) // 2], el, indexing="ij")
+    azg, elg = azg.ravel(), elg.ravel()
     cfg = ArrayConfig(rows, cols, spacing, wavelength)
-    a_half = spatial_steering_grid(cfg, azg.ravel(), elg.ravel())
+    a_half = np.empty((cfg.size, len(azg)), dtype=complex)
+    for i in range(0, len(azg), AOA_GRID_CHUNK):
+        part = slice(i, i + AOA_GRID_CHUNK)
+        a_half[:, part] = spatial_steering_grid(cfg, azg[part], elg[part])
     for arr in (az, el, a_half):
         arr.flags.writeable = False
     return az, el, a_half

@@ -40,10 +40,6 @@ def constellation(order: int) -> np.ndarray:
     return points
 
 
-def symbols_from_labels(labels: np.ndarray, order: int) -> np.ndarray:
-    return constellation(order)[np.asarray(labels)]
-
-
 def random_symbols(shape, order: int, rng: np.random.Generator):
     """Uniform random QAM symbols; returns (symbols, labels)."""
     labels = rng.integers(0, order, size=shape)
@@ -85,15 +81,3 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(max(ORDERS))])
 def bit_errors(tx_labels: np.ndarray, rx_labels: np.ndarray) -> np.ndarray:
     """Bit errors per symbol: the set bits of tx XOR rx."""
     return _POPCOUNT[np.bitwise_xor(tx_labels, rx_labels)]
-
-
-def labels_to_bits(labels: np.ndarray, order: int) -> np.ndarray:
-    """Unpack symbol labels into bits, MSB first, shape (..., log2(order))."""
-    nbits = order.bit_length() - 1
-    shifts = np.arange(nbits - 1, -1, -1)
-    return (np.asarray(labels)[..., None] >> shifts) & 1
-
-
-def bit_error_rate(tx_labels: np.ndarray, rx_labels: np.ndarray, order: int) -> float:
-    errs = bit_errors(tx_labels, rx_labels)
-    return float(errs.sum() / (errs.size * (order.bit_length() - 1)))

@@ -66,15 +66,6 @@ def direction_to_angles(direction: np.ndarray, rot: np.ndarray) -> Angle2D:
     return Angle2D(azimuth=azimuth, elevation=elevation)
 
 
-def angles_to_direction(angle: Angle2D, rot: np.ndarray) -> np.ndarray:
-    """Global unit direction for local-frame (azimuth, elevation)."""
-    se = np.sin(angle.elevation)
-    loc = np.array([se * np.cos(angle.azimuth),
-                    se * np.sin(angle.azimuth),
-                    np.cos(angle.elevation)])
-    return rot @ loc
-
-
 @dataclass(frozen=True)
 class PathParams:
     """Per-path truth. l=0 is the direct BS-MUE path; l>0 single-bounce."""

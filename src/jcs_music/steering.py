@@ -38,6 +38,9 @@ class ArrayConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows/cols: must be >= 1")
+        if self.rows * self.cols < 2:
+            # a subspace split needs two eigenvalues
+            raise ValueError("rows/cols: must give at least two elements")
         if self.spacing <= 0 or self.wavelength <= 0:
             raise ValueError("spacing/wavelength: must be > 0")
 

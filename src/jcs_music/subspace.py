@@ -30,15 +30,41 @@ def _matrix(snapshots: np.ndarray) -> np.ndarray:
     return y
 
 
+# Columns of the covariance one product takes: the conjugate of 16 rows of
+# the 64 x 16 384 echo matrix is 4 MiB.  A tail of fewer than 4 rows
+# joins the block before it, since OpenBLAS rounds 1- and 2-row products
+# differently from the full product.
+COVARIANCE_BLOCK_ROWS = 16
+
+
 def _covariance(y: np.ndarray) -> np.ndarray:
     """`covariance` of a checked matrix.  It calls numpy only, so the
-    harness runs it on a noise worker thread."""
-    r = y @ y.conj().T / y.shape[1]
-    return 0.5 * (r + r.conj().T)
+    harness runs it on a noise worker thread.
+
+    Only the lower triangle is multiplied out, one column block
+    R[j:, j:k] = Y[j:] Y[j:k]^H at a time, so the one copy it makes is
+    the conjugate of COVARIANCE_BLOCK_ROWS rows of Y, not of all of Y.
+    Each diagonal block is averaged with its conjugate transpose and the
+    strict upper triangle is the conjugate of the lower, so R is exactly
+    Hermitian whatever the BLAS.  Where the BLAS gives each block the
+    bits of the full product Y Y^H and that product is exactly Hermitian
+    (OpenBLAS 0.3.31 zgemm on the 64 x 16 384 AoA and 64 x 256 Doppler
+    matrices), R is bit for bit the symmetrized full product
+    0.5 (R_full + R_full^H)."""
+    dim, n = y.shape
+    edges = [*range(0, max(dim - 3, 1), COVARIANCE_BLOCK_ROWS), dim]
+    r = np.empty((dim, dim), dtype=np.result_type(y, 1.0))
+    for j, k in zip(edges, edges[1:]):
+        r[j:, j:k] = y[j:] @ y[j:k].conj().T / n
+        block = r[j:k, j:k]
+        block[...] = 0.5 * (block + block.conj().T)
+        r[j:k, k:] = r[k:, j:k].conj().T
+    return r
 
 
 def covariance(snapshots: np.ndarray) -> np.ndarray:
-    """Hermitian sample covariance Y Y^H / n_snapshots."""
+    """Hermitian sample covariance Y Y^H / n_snapshots, with the working
+    set of `_covariance`: the output and one conjugate block of rows."""
     return _covariance(_matrix(snapshots))
 
 

@@ -6,6 +6,14 @@ from jcs_music.channel import NoiseConfig, WaveformConfig
 from jcs_music.steering import ArrayConfig
 
 
+def labels_to_bits(labels: np.ndarray, order: int) -> np.ndarray:
+    """Oracle: unpack symbol labels into bits, MSB first, shape
+    (..., log2(order))."""
+    nbits = order.bit_length() - 1
+    shifts = np.arange(nbits - 1, -1, -1)
+    return (np.asarray(labels)[..., None] >> shifts) & 1
+
+
 @pytest.fixture(scope="session")
 def ctx():
     return bind(load_config())
@@ -37,9 +45,11 @@ def rng():
 def noisy_snapshots():
     """draw(echo, rng, noise): the (PQ, N_c, M_s) tensor of a noiseless
     echo with its noise drawn from rng by the estimated-beam fill, as the
-    sweeps draw it, into a plane of NaNs that must not reach the tensor."""
+    sweeps draw it, through a block buffer of NaNs that must not reach
+    the tensor."""
     def draw(echo, rng, noise):
-        plane = np.full((len(echo.steering), echo.symbols.size), np.nan)
+        rows = min(channel.NOISE_BLOCK_ROWS, len(echo.steering))
+        block = np.full((rows, echo.symbols.size), np.nan)
         return channel._noisy_snapshots(echo, rng, noise.echo_noise_std,
-                                        plane)
+                                        block)
     return draw

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import labels_to_bits
 from jcs_music import channel, csi, qam
 from jcs_music.channel import NoiseConfig, WaveformConfig
 from jcs_music.scenario import generate_scenario
@@ -283,8 +284,8 @@ def test_ber_equals_bit_unpacking_route(rng, order):
     rx = sym + 0.3 * (rng.normal(size=sym.shape) + 1j * rng.normal(size=sym.shape))
     dem = csi.equalize_and_demodulate(rx, h, 1.0, order, labels)
     nbits = order.bit_length() - 1
-    errs = (qam.labels_to_bits(labels, order)
-            != qam.labels_to_bits(dem.labels, order)).sum(axis=-1)
+    errs = (labels_to_bits(labels, order)
+            != labels_to_bits(dem.labels, order)).sum(axis=-1)
     errs = np.where(h == 0, nbits, errs)
     assert 0.0 < dem.ber < 1.0
     assert dem.ber == float(errs.sum() / (rx.size * nbits))

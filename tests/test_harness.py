@@ -24,7 +24,7 @@ from jcs_music.harness import (ResultRow, ResultTable, resolution_constants,
                                trial_rng)
 from jcs_music.music import music_range
 from jcs_music.scenario import MAX_SCATTERERS, generate_scenario
-from jcs_music.steering import Angle2D
+from jcs_music.steering import Angle2D, ArrayConfig
 from jcs_music.subspace import covariance
 
 
@@ -616,6 +616,44 @@ def test_objects_check_their_fields_and_config_names_the_key(
 def test_config_rejects_array_without_elements():
     with pytest.raises(ConfigError, match=r"^array\.rows/cols: must be >= 1$"):
         load_config(overrides={"array": {"cols": 0}})
+
+
+def test_config_rejects_a_one_element_array(tmp_path, capsys):
+    """MUSIC splits at least two eigenvalues: a 1 x 1 array is rejected
+    under its key path before any sweep runs or writes."""
+    rule = "rows/cols: must give at least two elements"
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        ArrayConfig(rows=1, cols=1, spacing=0.5, wavelength=1.0)
+    override = {"array": {"rows": 1, "cols": 1}}
+    with pytest.raises(ConfigError, match=rf"^array\.{rule}$"):
+        load_config(overrides=override)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(override))
+    out = tmp_path / "res"
+    assert cli.main(["sweep-mse", "--config", str(p), "--sinr", "10",
+                     "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: array.{rule}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, rule", [
+    ("subcarrier_spacing",
+     "must give a symbol duration and a bandwidth with finite squares"),
+    ("guard_interval", "must give a symbol duration with a finite square")])
+def test_waveform_rejects_timing_with_an_overflowing_square(tmp_path, capsys,
+                                                            field, rule):
+    """The bounds square the symbol duration and the bandwidth: a timing
+    field whose square overflows is rejected under its key path, and
+    `crb` exits 2 with one error line, not a traceback."""
+    with pytest.raises(ValueError, match=f"^{field}: {rule}$"):
+        channel.WaveformConfig(**{field: 1e300})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"waveform": {field: 1e300}}))
+    out = tmp_path / "res"
+    assert cli.main(["crb", "--sinr", "0", "--config", str(p),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: waveform.{field}: {rule}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("reflect_var", [0.0, -1.0])

@@ -10,12 +10,20 @@ import pytest
 from jcs_music import channel, qam
 from jcs_music.channel import NoiseConfig, WaveformConfig
 from jcs_music.scenario import (BS_POSITION, MUE_VELOCITY, Scenario,
-                                _radial_speed, angles_to_direction,
-                                direction_to_angles, generate_scenario,
-                                rotation_matrix)
+                                _radial_speed, direction_to_angles,
+                                generate_scenario, rotation_matrix)
 from jcs_music.steering import Angle2D, ArrayConfig, spatial_steering
 
 C = 299792458.0
+
+
+def angles_to_direction(angle: Angle2D, rot: np.ndarray) -> np.ndarray:
+    """Oracle: global unit direction for local-frame (azimuth, elevation)."""
+    se = np.sin(angle.elevation)
+    loc = np.array([se * np.cos(angle.azimuth),
+                    se * np.sin(angle.azimuth),
+                    np.cos(angle.elevation)])
+    return rot @ loc
 
 
 @pytest.fixture(scope="module")
@@ -307,8 +315,9 @@ def test_factored_echo_equals_per_path_synthesis(numerology, n_scatterers,
                                                  small_array, noise,
                                                  noisy_snapshots):
     """The echo's tensor is the reference's signal, bit for bit.  Noisy:
-    the tensor fill, which draws the noise a block of rows at a time into
-    the first rows of one plane, gives the reference's snapshots, its
+    the tensor fill, which builds the tensor and draws the noise a block
+    of rows at a time through one block buffer, gives the reference's
+    snapshots, its
     signal plus the noise drawn in one call, bit for bit.  The generators
     end in the same state."""
     echo, (snapshots, signal, _), rng_new, rng_ref, scen, _ = _echo_pair(
