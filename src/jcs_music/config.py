@@ -100,6 +100,10 @@ def _validate(cfg: dict) -> None:
     require(cfg["schema"] == SCHEMA_VERSION,
             f"schema: expected version {SCHEMA_VERSION}")
     _objects(cfg)
+    # one row or one column steers along one axis only, so its 2-D AoA is
+    # ambiguous; the steering functions still take such arrays
+    require(min(cfg["array"]["rows"], cfg["array"]["cols"]) >= 2,
+            "array.rows/cols: must be >= 2 each, for a 2-D AoA")
     sc = cfg["scenario"]
     require(0 <= int(sc["n_scatterers"]) <= MAX_SCATTERERS,
             f"scenario.n_scatterers: must be in [0, {MAX_SCATTERERS}], "

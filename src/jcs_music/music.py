@@ -2,8 +2,10 @@
 line-spectrum core for range and Doppler.  Each estimator searches a
 coarse grid of the pseudo-spectrum 1/(n - ||U_s^H a||^2) and refines its
 strongest peaks by Newton descent on the one noise-subspace objective
-||U_n^H a(x)||^2; the plotted range and Doppler pseudo-spectra sample the
-same ramp as a zero-padded DFT."""
+||U_n^H a(x)||^2, read through the decomposition's noise map
+x -> U_n^H x (trailing eigenvectors for AoA and Doppler, Householder
+reflectors of U_s for range); the plotted range and Doppler
+pseudo-spectra sample the same ramp as a zero-padded DFT."""
 
 from __future__ import annotations
 
@@ -107,20 +109,25 @@ def _peaks(spec: np.ndarray, n_peaks: int, wrap: tuple[bool, ...]):
     return tuple(i[order] for i in idx)
 
 
-def _subspace_objective(noise_basis: np.ndarray, steer):
+def _subspace_objective(noise_map, steer):
     """derivs(x) = (f, gradient, Hessian) of f(x) = ||U_n^H a(x)||^2 for
     steer(x) = (a, a', a''), a' of shape (n,) or (n, d), a'' (n,) or
-    (n, d, d).  With P = U_n U_n^H, g = 2 Re(a'^T conj(P a)) and
-    H = 2 Re(a''^T conj(P a) + a'^T conj(P a')) for either shape."""
-    un, unh = noise_basis, noise_basis.conj().T
+    (n, d, d).  One call of noise_map(X) = U_n^H X on X = [a, a', a'']
+    gives b = [b_0, b_1, b_2], and f = ||b_0||^2, g = 2 Re(b_1^H b_0) and
+    H = 2 Re(b_2^H b_0 + b_1^H b_1) for either shape: entries of the one
+    product b^H [b_0, b_1]."""
 
     def derivs(x):
         a, a1, a2 = steer(x)
-        cw = (un @ (unh @ a)).conj()
-        f = float(np.real(a @ cw))
-        g = 2.0 * np.real(a1.T @ cw)
-        h = 2.0 * np.real(a2.T @ cw + a1.T @ (un @ (unh @ a1)).conj())
-        return f, g, h
+        n = len(a)
+        d = a1.size // n
+        b = noise_map(np.column_stack([a, a1.reshape(n, d),
+                                       a2.reshape(n, d * d)]))
+        gram = b.conj().T @ b[:, :1 + d]
+        f = float(gram[0, 0].real)
+        g = 2.0 * gram[1:1 + d, 0].real
+        h = 2.0 * (gram[1 + d:, 0].reshape(d, d) + gram[1:1 + d, 1:]).real
+        return f, g.reshape(a1.shape[1:])[()], h.reshape(a2.shape[1:])[()]
 
     return derivs
 
@@ -129,7 +136,7 @@ def _refine_peaks(dec: SubspaceDecomposition, spec: np.ndarray, wrap,
                   start, steer, scale: float) -> list[SpectrumEstimate]:
     """Newton descent of the noise-subspace objective of steer from
     start(*index) of each of the dec.source_count strongest peaks of spec."""
-    derivs = _subspace_objective(dec.noise_basis, steer)
+    derivs = _subspace_objective(dec.noise_map, steer)
     return [newton_refine_1d(start(*idx), derivs, scale)
             for idx in zip(*_peaks(spec, dec.source_count, wrap))]
 

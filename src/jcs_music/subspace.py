@@ -1,8 +1,15 @@
-"""Sample covariance, eigendecomposition, and eigenvalue-gap source counting."""
+"""Sample covariance, eigendecomposition, and eigenvalue-gap source counting.
+
+A split reads its noise subspace through one map x -> U_n^H x: an `eigh`
+split multiplies by its trailing eigenvectors, conjugate-transposed once,
+and the tall thin-SVD split applies the Householder reflectors of U_s, so
+no rows x rows basis is formed on the estimator path."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,10 +24,47 @@ class SourceCount:
 class SubspaceDecomposition:
     eigenvalues: np.ndarray    # real, descending
     signal_basis: np.ndarray   # eigenvectors 0..count-1
-    noise_basis: np.ndarray    # orthonormal complement of signal_basis,
-                               # by QR in a tall `decompose_snapshots`
+    # x -> U_n^H x of a vector or a matrix x, U_n the orthonormal
+    # complement of signal_basis
+    noise_map: Callable[[np.ndarray], np.ndarray]
     source_count: int
     fallback: bool
+
+    @property
+    def noise_basis(self) -> np.ndarray:
+        """U_n = (U_n^H I)^H, built on demand from the noise map."""
+        eye = np.eye(len(self.signal_basis), dtype=self.signal_basis.dtype)
+        return self.noise_map(eye).conj().T
+
+
+def _apply_wy(k: int, vh: np.ndarray, w: np.ndarray,
+              x: np.ndarray) -> np.ndarray:
+    """U_n^H x = x[k:] - W (V^H x), see `_reflector_map`."""
+    return x[k:] - w @ (vh @ x)
+
+
+def _reflector_map(basis: np.ndarray):
+    """x -> U_n^H x, U_n the trailing columns of the complete QR of the
+    n x k `basis`, read from the Householder reflectors
+    H_i = I - tau_i v_i v_i^H of `np.linalg.qr` in raw mode, so the
+    n x n Q is never formed.  Their product in compact WY form
+    (Golub & Van Loan, Matrix Computations, sec. 5.1.7) is
+    Q = H_1 ... H_k = I - V T V^H, with V = [v_1 ... v_k] unit lower
+    trapezoidal and T upper triangular, T_ii = tau_i and
+    T[:i, i] = -tau_i T[:i, :i] V[:, :i]^H v_i.  So
+    U_n^H x = (Q^H x)[k:] = x[k:] - W (V^H x) with W = V[k:] T^H: two
+    products of width k, whatever the count.  Raw mode returns the
+    transposed LAPACK output, so column i of h^T holds v_i below row i."""
+    h, tau = np.linalg.qr(basis, mode="raw")
+    k = len(tau)
+    v = np.tril(h.T, -1)
+    v[np.diag_indices(k)] = 1.0
+    vh = v.conj().T
+    t = np.zeros((k, k), dtype=h.dtype)
+    for i in range(k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ (vh[:i] @ v[:, i]))
+        t[i, i] = tau[i]
+    return partial(_apply_wy, k, vh, v[k:] @ t.conj().T)
 
 
 def _matrix(snapshots: np.ndarray) -> np.ndarray:
@@ -152,9 +196,10 @@ def decompose(cov: np.ndarray, max_rank: int | None = None,
     order = np.argsort(w)[::-1]
     w, u = w[order], u[:, order]
     count, fallback = _source_count(w, u.shape[0], max_rank, n_sources)
-    return SubspaceDecomposition(eigenvalues=w, signal_basis=u[:, :count],
-                                 noise_basis=u[:, count:],
-                                 source_count=count, fallback=fallback)
+    return SubspaceDecomposition(
+        eigenvalues=w, signal_basis=u[:, :count],
+        noise_map=partial(np.matmul, u[:, count:].conj().T),
+        source_count=count, fallback=fallback)
 
 
 def decompose_snapshots(snapshots: np.ndarray,
@@ -164,13 +209,15 @@ def decompose_snapshots(snapshots: np.ndarray,
     A tall matrix (more rows than snapshots) is split from its thin SVD
     Y = U S V^H: the covariance eigenvalues are S^2 / n_snapshots, padded
     with the structural zeros, and its signal basis is the leading
-    columns U_s of U.  The noise basis is the orthonormal complement of
-    U_s, the trailing columns of the complete QR of U_s, so neither the
-    rank-deficient rows x rows covariance nor the full U is formed.  A
-    count past the rank (an override) takes its extra signal columns
-    from the complement of U.  A wide or square matrix (the 64 x 256
-    Doppler matrix) takes the covariance `eigh`, which is the cheaper of
-    the two there.
+    columns U_s of U.  Its noise subspace is the orthonormal complement
+    of U_s, the trailing columns of the complete QR of U_s, and the noise
+    map applies the Householder reflectors of that QR, so neither the
+    rank-deficient rows x rows covariance, the full U nor the complete Q
+    is formed.  A count past the rank (an override, which the sweeps
+    never make) takes its extra signal columns from the complement of U,
+    which U's reflectors build on the rows x rows identity.  A wide or
+    square matrix (the 64 x 256 Doppler matrix) takes the covariance
+    `eigh`, which is the cheaper of the two there.
     """
     y = _matrix(snapshots)
     dim, n_snap = y.shape
@@ -181,9 +228,9 @@ def decompose_snapshots(snapshots: np.ndarray,
     w[:n_snap] = s ** 2 / n_snap
     count, fallback = _source_count(w, dim, n_snap, n_sources)
     if count > n_snap:
-        u = np.hstack([u, np.linalg.qr(u, mode="complete")[0][:, n_snap:]])
+        extra = _reflector_map(u)(np.eye(dim))[:count - n_snap]
+        u = np.hstack([u, extra.conj().T])
     signal = u[:, :count]
     return SubspaceDecomposition(
-        eigenvalues=w, signal_basis=signal,
-        noise_basis=np.linalg.qr(signal, mode="complete")[0][:, count:],
+        eigenvalues=w, signal_basis=signal, noise_map=_reflector_map(signal),
         source_count=count, fallback=fallback)

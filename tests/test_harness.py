@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -633,6 +634,26 @@ def test_config_rejects_a_one_element_array(tmp_path, capsys):
     assert cli.main(["sweep-mse", "--config", str(p), "--sinr", "10",
                      "--trials", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: array.{rule}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (3, 1)])
+@pytest.mark.parametrize("command", ["validate-theory", "sweep-mse"])
+def test_config_rejects_a_single_row_or_column(tmp_path, capsys, shape,
+                                               command):
+    """One row or one column leaves the 2-D AoA ambiguous: the array is
+    rejected under its key path, and the command exits 2 before it
+    writes, where the theory used to fail on a singular matrix."""
+    rule = "array.rows/cols: must be >= 2 each, for a 2-D AoA"
+    override = {"array": {"rows": shape[0], "cols": shape[1]}}
+    with pytest.raises(ConfigError, match=f"^{re.escape(rule)}$"):
+        load_config(overrides=override)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(override))
+    out = tmp_path / "res"
+    assert cli.main([command, "--config", str(p), "--sinr", "10",
+                     "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {rule}\n"
     assert not out.exists()
 
 

@@ -306,10 +306,12 @@ def _objective_by_entries(un, steer, x):
 def test_subspace_objective_derivatives_match_central_differences(
         wave, array, noise, rng, noisy_snapshots):
     """The gradient and Hessian of ||U_n^H a(x)||^2 agree with central
-    differences of its own value, on the noise bases of a noisy draw at
-    off-grid points: range and Doppler (one parameter) and AoA (two, with
-    a symmetric Hessian).  All three agree with the entry-by-entry form
-    within the rounding bound of its dot products."""
+    differences of its own value, through the noise maps of a noisy draw
+    at off-grid points: range and Doppler (one parameter) and AoA (two,
+    with a symmetric Hessian).  The range split's map applies Householder
+    reflectors, also at a count past the rank; the others multiply by
+    eigenvectors.  All agree with the entry-by-entry form on the explicit
+    noise basis within the rounding bound of its dot products."""
     scen = generate_scenario(2)
     beams = channel.build_beamformers(scen, array)
     echo = channel.synthesize_echo(scen, wave, array, beams, rng)
@@ -324,20 +326,26 @@ def test_subspace_objective_derivatives_match_central_differences(
         return (spatial_steering(array, ang),
                 *spatial_steering_derivs(array, ang))
 
+    def range_steer(r):
+        return range_steering_derivs(nc, df, r[0], C)
+
+    range_cell, range_points = C / (4.0 * wave.bandwidth), [[3.7], [41.3],
+                                                             [97.05]]
     cases = [
-        # (noise basis, steering, coarse cell width, off-grid points)
-        (decompose_snapshots(h_bar).noise_basis,
-         lambda r: range_steering_derivs(nc, df, r[0], C),
-         C / (4.0 * wave.bandwidth), [[3.7], [41.3], [97.05]]),
-        (decompose_snapshots(h_bar.T).noise_basis,
+        # (decomposition, steering, coarse cell width, off-grid points)
+        (decompose_snapshots(h_bar), range_steer, range_cell, range_points),
+        (decompose_snapshots(h_bar, n_sources=ms + 3), range_steer,
+         range_cell, range_points),
+        (decompose_snapshots(h_bar.T),
          lambda f: doppler_steering_derivs(ms, t, f[0]),
          1.0 / (2.0 * ms * t), [[123.4], [2717.9], [9001.1]]),
         (decompose(covariance(echo.snapshots.reshape(array.size, -1)),
-                   max_rank=array.size).noise_basis, aoa_steer,
+                   max_rank=array.size), aoa_steer,
          np.deg2rad(1.0), [[0.3, 0.7], [-2.41, 0.123], [1.77, 1.31]]),
     ]
-    for un, steer, cell, points in cases:
-        derivs = _subspace_objective(un, steer)
+    assert h_bar.shape == (nc, ms) and nc > ms     # the tall split
+    for dec, steer, cell, points in cases:
+        derivs, un = _subspace_objective(dec.noise_map, steer), dec.noise_basis
         for x in np.asarray(points, dtype=float):
             f, g, hess = derivs(x)
             g_fd, h_fd = _central_differences(lambda y: derivs(y)[0], x,
@@ -351,6 +359,86 @@ def test_subspace_objective_derivatives_match_central_differences(
                 assert np.all(np.abs(got - want) <= bound)
             np.testing.assert_allclose(hess, hess.T, rtol=0,
                                        atol=1e-12 * np.abs(hess).max())
+
+
+def _projector_objective(noise_map, steer):
+    """The objective as it was computed before the noise map, kept as an
+    oracle: cw = conj(U_n (U_n^H a)) on the explicit noise basis, built
+    from the map on the identity (exactly the trailing eigenvectors of an
+    eigh split, the complete-QR columns of a tall split to rounding), and
+    f = Re(a^T cw), g = 2 Re(a'^T cw),
+    H = 2 Re(a''^T cw + a'^T conj(U_n (U_n^H a')))."""
+    bases = {}
+
+    def derivs(x):
+        a, a1, a2 = steer(x)
+        if not bases:
+            bases["un"] = noise_map(np.eye(len(a), dtype=complex)).conj().T
+        un = bases["un"]
+        unh = un.conj().T
+        cw = (un @ (unh @ a)).conj()
+        f = float(np.real(a @ cw))
+        g = 2.0 * np.real(a1.T @ cw)
+        h = 2.0 * np.real(a2.T @ cw + a1.T @ (un @ (unh @ a1)).conj())
+        return f, g, h
+
+    return derivs
+
+
+def test_noise_map_objective_matches_the_projector_oracle(
+        wave, array, noise, noisy_snapshots, monkeypatch):
+    """On seeded noisy draws, range (the reflector map of the tall split),
+    Doppler and AoA keep every source count, iteration count and
+    converged flag of the projector objective, and their values and
+    objectives agree with it to 1e-12 relative."""
+    def estimates(seed):
+        rng = np.random.default_rng(seed)
+        scen = generate_scenario(seed)
+        beams = channel.build_beamformers(scen, array)
+        echo = channel.synthesize_echo(scen, wave, array, beams, rng)
+        snapshots = noisy_snapshots(echo, rng, noise)
+        w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
+        h_bar = beamform_and_erase(snapshots, w0, echo.symbols)
+        y = snapshots.reshape(array.size, -1)
+        return [music_range(h_bar, wave), music_doppler(h_bar, wave),
+                music_aoa(covariance(y), array)]
+
+    seeds = range(6)
+    new = [out for seed in seeds for out in estimates(seed)]
+    monkeypatch.setattr(music, "_subspace_objective", _projector_objective)
+    old = [out for seed in seeds for out in estimates(seed)]
+    assert sum(len(ests) for ests, _ in new) > 3 * len(new)
+    for (ests, dec), (refs, ref_dec) in zip(new, old):
+        assert dec.source_count == ref_dec.source_count == len(ests) \
+            == len(refs)
+        for e, o in zip(ests, refs):
+            assert (e.iterations, e.converged) == (o.iterations, o.converged)
+            np.testing.assert_allclose(e.value, o.value, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(e.objective, o.objective, rtol=1e-12,
+                                       atol=0)
+
+
+def test_music_range_never_forms_the_complete_q(wave, array, noise, rng,
+                                                noisy_snapshots, monkeypatch):
+    """The tall range split reads its noise subspace through Householder
+    reflectors: no complete rows x rows Q is formed."""
+    scen = generate_scenario(2)
+    beams = channel.build_beamformers(scen, array)
+    echo = channel.synthesize_echo(scen, wave, array, beams, rng)
+    w0 = channel.sense_rx_beamformer(array, scen.mue_path.aoa)
+    h_bar = beamform_and_erase(noisy_snapshots(echo, rng, noise), w0,
+                               echo.symbols)
+    assert h_bar.shape[0] > h_bar.shape[1]
+    qr = np.linalg.qr
+
+    def no_complete_q(a, mode="reduced"):
+        if mode == "complete":
+            raise AssertionError("complete QR formed")
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", no_complete_q)
+    ests, dec = music_range(h_bar, wave)
+    assert len(ests) == dec.source_count >= 1
 
 
 def test_spectrum_reciprocity():

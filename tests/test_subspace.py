@@ -198,6 +198,31 @@ def test_decompose_snapshots_matches_covariance_eigh(shape, rng):
     assert (ref.source_count, ref.fallback) == (1, True)
 
 
+@pytest.mark.parametrize("shape", [(256, 64), (24, 8)])
+@pytest.mark.parametrize("override", [None, 3, "past the rank"])
+def test_tall_noise_map_is_the_complete_qr_complement(shape, override, rng):
+    """The tall split's noise map, applied by Householder reflectors,
+    equals U_n^H X for U_n the trailing columns of the complete QR of
+    U_s (the oracle), also at a count past the rank.  It annihilates
+    U_s, and the noise basis it builds is orthonormal."""
+    n, m = shape
+    y = _ramps_in_noise(rng, n, m)
+    n_sources = m + 2 if override == "past the rank" else override
+    dec = decompose_snapshots(y, n_sources=n_sources)
+    us, k = dec.signal_basis, dec.source_count
+    assert k > m if override == "past the rank" else k <= m
+    x = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    unh = np.linalg.qr(us, mode="complete")[0][:, k:].conj().T
+    np.testing.assert_allclose(dec.noise_map(x), unh @ x, rtol=0,
+                               atol=1e-13)
+    np.testing.assert_allclose(dec.noise_map(x[:, 0]), unh @ x[:, 0],
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dec.noise_map(us), 0.0, atol=1e-13)
+    un = dec.noise_basis
+    assert un.shape == (n, n - k)
+    np.testing.assert_allclose(un.conj().T @ un, np.eye(n - k), atol=1e-13)
+
+
 @pytest.mark.parametrize("shape", [(64, 256), (8, 24), (8, 8)])
 def test_decompose_snapshots_wide_is_the_covariance_eigh(shape, rng):
     """A wide or square matrix takes exactly the covariance eigh path."""
