@@ -44,8 +44,10 @@ class WaveformConfig:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        _check((self.n_subcarriers >= 2, "n_subcarriers: must be >= 2"),
-               (self.n_symbols >= 2, "n_symbols: must be >= 2"),
+        # the half-aperture smoothing window of the range and Doppler
+        # spectra needs two elements
+        _check((self.n_subcarriers >= 4, "n_subcarriers: must be >= 4"),
+               (self.n_symbols >= 4, "n_symbols: must be >= 4"),
                (self.subcarrier_spacing > 0, "subcarrier_spacing: must be > 0"),
                (self.guard_interval >= 0, "guard_interval: must be >= 0"),
                (self.carrier_freq > 0, "carrier_freq: must be > 0"),
@@ -211,11 +213,12 @@ class EchoRealization:
 
     Y = sum_l steering[:, l] (x) factors[l].  The echo holds only the
     (PQ, L) steering and the (L, N_c, M_s) factors, never a tensor.
-    `beamform` reads one beam's output from the factors; only 2-D AoA
-    estimation reads the whole (PQ, N_c, M_s) tensor, which `snapshots`
-    builds on every read and `_noisy_snapshots` builds a block of rows at
-    a time, with the same arithmetic per row.  The noise is added by the
-    fills `_noisy_beam` and `_noisy_snapshots`.
+    `beamform` reads one noiseless beam's output from the factors; only
+    2-D AoA estimation reads the whole (PQ, N_c, M_s) tensor, which
+    `snapshots` builds on every read and `_noisy_snapshots` builds a block
+    of rows at a time, with the same arithmetic per row.  The noise is
+    added by the fills `_noisy_beam` and `_noisy_snapshots`, both drawing
+    it by `_noise_blocks`, so neither holds a (PQ, N_c*M_s) noise plane.
     """
 
     steering: np.ndarray           # (PQ, L) echo steering matrix
@@ -241,20 +244,10 @@ class EchoRealization:
         return self._build_rows(
             np.empty((len(self.steering),) + f.shape[1:], dtype=f.dtype), 0)
 
-    def beamform(self, w: np.ndarray, planes=None) -> np.ndarray:
-        """Beam output w^H Y, shape (N_c, M_s): (w^H A) X, plus w^H N when
-        `planes` yields the real and then the imaginary (PQ, N_c*M_s)
-        noise plane.  w^H N comes from two real (2 x PQ) products, one per
-        plane, so no PQ x N_c x M_s complex array is formed; each plane is
-        reduced before the next is taken, so one buffer can hold both."""
+    def beamform(self, w: np.ndarray) -> np.ndarray:
+        """Noiseless beam output w^H Y = (w^H A) X, shape (N_c, M_s)."""
         y = (w.conj() @ self.steering) @ self.factors.reshape(
             len(self.factors), -1)
-        if planes is not None:
-            w2 = np.stack([w.real, w.imag])
-            nr, ni = (w2 @ plane for plane in planes)
-            # (wr - j wi)(nr + j ni) = wr nr + wi ni + j (wr ni - wi nr)
-            y.real += nr[0] + ni[1]
-            y.imag += ni[0] - nr[1]
         return y.reshape(self.symbols.shape)
 
 
@@ -307,42 +300,59 @@ def _complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     return std * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-# Rows of echo noise an estimated-beam fill draws at a time, into its
-# block buffer: 1 MiB at the shipped N_c*M_s = 16 384.
+# Rows of echo noise a fill draws at a time, into its own block: 1 MiB at
+# the shipped N_c*M_s = 16 384.
 NOISE_BLOCK_ROWS = 8
 
 
 def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,
                      std: float) -> np.ndarray:
-    """Draw the next `out.size` values of the echo noise into `out`.
-
-    The echo noise is std * (normal + 1j * normal) over (PQ, N_c, M_s),
-    drawn as the real plane, then the imaginary plane.  Every split of
-    that sequence into consecutive `out` arrays (one plane, a block of
-    rows) draws the same values and leaves the generator in the same
-    state.  It calls numpy only, so the harness runs it on a worker
-    thread."""
+    """Draw the next `out.size` values of the echo noise into `out`: one
+    block of `_noise_blocks`.  It calls numpy only, so the harness runs
+    it on a worker thread."""
     rng.standard_normal(out=out)
     out *= std
     return out
 
 
+def _noise_blocks(rng: np.random.Generator, std: float, rows: int,
+                  cols: int):
+    """The echo noise std * (normal + 1j * normal) over (rows, cols),
+    drawn NOISE_BLOCK_ROWS rows at a time into one block it allocates:
+    the real plane, then the imaginary plane, so the values and the
+    generator's end state are those of one draw per plane.  Yields
+    (imag, span, block): 0 for a real block and 1 for an imaginary one,
+    its slice of rows, and its values, which the next block overwrites."""
+    block = np.empty((min(NOISE_BLOCK_ROWS, rows), cols))
+    for imag in (0, 1):
+        for i in range(0, rows, NOISE_BLOCK_ROWS):
+            span = slice(i, min(i + NOISE_BLOCK_ROWS, rows))
+            yield imag, span, _fill_echo_noise(
+                rng, block[:span.stop - i], std)
+
+
 def _noisy_beam(echo: EchoRealization, w: np.ndarray,
-                rng: np.random.Generator, std: float,
-                plane: np.ndarray) -> np.ndarray:
-    """echo.beamform(w) of the noiseless `echo` with its noise drawn from
-    rng: the real plane is drawn into `plane` (PQ, N_c*M_s) and reduced
-    to the beam, then the imaginary plane is drawn into it."""
-    return echo.beamform(w, (_fill_echo_noise(rng, plane, std)
-                             for _ in range(2)))
+                rng: np.random.Generator, std: float) -> np.ndarray:
+    """echo.beamform(w) of the noiseless `echo` plus w^H N, its noise
+    drawn from rng.  w^H N comes from real (2 x rows) products, one per
+    noise block, summed per plane, so no (PQ, N_c*M_s) array is formed."""
+    y = echo.beamform(w).reshape(-1)
+    w2 = np.stack([w.real, w.imag])
+    sums = np.zeros((2, 2, y.size))     # w2 @ plane, per plane
+    for imag, rows, block in _noise_blocks(rng, std, len(w), y.size):
+        acc = sums[imag]
+        acc += w2[:, rows] @ block
+    nr, ni = sums
+    # (wr - j wi)(nr + j ni) = wr nr + wi ni + j (wr ni - wi nr)
+    y.real += nr[0] + ni[1]
+    y.imag += ni[0] - nr[1]
+    return y.reshape(echo.symbols.shape)
 
 
 def _noisy_snapshots(echo: EchoRealization, rng: np.random.Generator,
-                     std: float, block: np.ndarray) -> np.ndarray:
+                     std: float) -> np.ndarray:
     """echo.snapshots of the noiseless `echo` with its noise drawn from
-    rng NOISE_BLOCK_ROWS (N_c*M_s,) rows at a time, real parts first,
-    into the first rows of `block`, which needs min(NOISE_BLOCK_ROWS, PQ)
-    rows; the rest of `block` is not touched.
+    rng by `_noise_blocks`.
 
     Each block of tensor rows is built and takes its real noise while it
     is still in cache, then a second pass adds the imaginary noise.  The
@@ -352,13 +362,12 @@ def _noisy_snapshots(echo: EchoRealization, rng: np.random.Generator,
     held."""
     f = echo.factors
     y = np.empty((len(echo.steering),) + f.shape[1:], dtype=f.dtype)
-    rows = y.reshape(len(y), -1)
-    for build, plane in ((True, rows.real), (False, rows.imag)):
-        for i in range(0, len(y), NOISE_BLOCK_ROWS):
-            if build:
-                echo._build_rows(y[i:i + NOISE_BLOCK_ROWS], i)
-            part = plane[i:i + NOISE_BLOCK_ROWS]
-            part += _fill_echo_noise(rng, block[:len(part)], std)
+    flat = y.reshape(len(y), -1)
+    for imag, rows, block in _noise_blocks(rng, std, *flat.shape):
+        if not imag:
+            echo._build_rows(y[rows], rows.start)
+        part = (flat.imag if imag else flat.real)[rows]
+        part += block
     return y
 
 

@@ -150,10 +150,10 @@ def _beam_output(ctx: RunContext, echo: channel.EchoRealization,
                  angle: Angle2D, rng: np.random.Generator):
     """Draw of the per-beam matrix h_bar: the noiseless echo through the
     receive beam steered at `angle`, its noise drawn by a fill that
-    reduces each plane to the beam, with the symbols erased."""
+    reduces each noise block to the beam, with the symbols erased."""
     w = channel.sense_rx_beamformer(ctx.array, angle)
-    beam = yield ctx.array.size, partial(channel._noisy_beam, echo, w, rng,
-                                         ctx.noise.echo_noise_std)
+    beam = yield partial(channel._noisy_beam, echo, w, rng,
+                         ctx.noise.echo_noise_std)
     return beam / echo.symbols
 
 
@@ -188,20 +188,17 @@ def _local_location(d: float, az: float, el: float) -> np.ndarray:
 
 # A trial is drawn, then estimated.  The draw is a generator function that
 # makes every generator call of the trial in order.  Where the echo noise
-# is drawn it yields (rows, fill): a fill is a function of one
-# (rows, N_c*M_s) float buffer that draws the noise from the trial's
-# generator into it and reduces it as it is drawn.  A fixed-beam fill
-# (channel._noisy_beam) gets a whole PQ-row plane, because each plane
-# must reach its beam in one product: it draws the real plane and takes
-# its beam, then redraws the plane as the imaginary one and takes its
-# beam.  An estimated-beam fill (_aoa_fill) gets one block of
-# channel.NOISE_BLOCK_ROWS rows: it builds the echo tensor a block of rows
-# at a time, adds the noise a block at a time through the buffer, then
-# takes the AoA covariance of the tensor.  The draw is sent what its fill
-# returns and returns the drawn trial.  A fill calls numpy,
-# channel._fill_echo_noise and subspace._covariance only, and is done
-# with its buffer when it returns, so the sweeps run fills on worker
-# threads, each with its own buffer.  The estimate makes no random draw.
+# is drawn it yields its fill: a function of no arguments that draws the
+# noise from the trial's generator by channel._noise_blocks, one block of
+# channel.NOISE_BLOCK_ROWS rows at a time, and reduces each block as it is
+# drawn.  A fixed-beam fill (channel._noisy_beam) adds each block's share
+# of the beam; an estimated-beam fill (_aoa_fill) builds the echo tensor a
+# block of rows at a time, adds the noise block by block, then takes the
+# AoA covariance of the tensor.  The draw is sent what its fill returns
+# and returns the drawn trial.  A fill calls numpy,
+# channel._fill_echo_noise and subspace._covariance only, and allocates
+# its own block, so the sweeps run fills on worker threads.  The estimate
+# makes no random draw.
 
 @dataclass(frozen=True)
 class SensingDraw:
@@ -246,17 +243,16 @@ def _frame_draw(ctx: RunContext, scenario: Scenario,
     if use_true_beam:
         h_bar = yield from _beam_output(ctx, echo, scenario.mue_path.aoa, rng)
         return SensingDraw(scenario, wave, h_bar)
-    snapshots, cov = yield (min(channel.NOISE_BLOCK_ROWS, ctx.array.size),
-                            partial(_aoa_fill, echo, rng,
-                                    ctx.noise.echo_noise_std))
+    snapshots, cov = yield partial(_aoa_fill, echo, rng,
+                                   ctx.noise.echo_noise_std)
     return SensingDraw(scenario, wave, None, snapshots, echo.symbols, cov)
 
 
 def _aoa_fill(echo: channel.EchoRealization, rng: np.random.Generator,
-              std: float, block: np.ndarray):
+              std: float):
     """Fill of an estimated-beam draw: the noisy echo tensor, and the
     sample covariance of its (PQ, N_c*M_s) matrix that music_aoa reads."""
-    y = channel._noisy_snapshots(echo, rng, std, block)
+    y = channel._noisy_snapshots(echo, rng, std)
     return y, subspace._covariance(y.reshape(len(y), -1))
 
 
@@ -291,16 +287,10 @@ def _ber_draw(ctx: RunContext, csinr_db: float, scen_seed: int,
     return BerDraw(wave, comm_pre, h_bar, comm_data)
 
 
-# Noise fills in flight, each on its own worker thread with its own
-# buffer: two keep both cores of a two-core machine busy while the calling
-# thread waits, and each more worker holds one more buffer (at the shipped
-# numerology 8 MiB for a fixed beam, 1 MiB for an estimated beam).
+# Noise fills in flight, each on its own worker thread: two keep both
+# cores of a two-core machine busy while the calling thread waits, and each
+# more worker holds one more noise block (1 MiB at the shipped numerology).
 NOISE_WORKERS = 2
-
-
-def _noise_buffer(ctx: RunContext, rows: int) -> np.ndarray:
-    """Uninitialised (rows, N_c*M_s) echo noise buffer of a fill."""
-    return np.empty((rows, ctx.wave.n_subcarriers * ctx.wave.n_symbols))
 
 
 def _finish(draw, filled):
@@ -312,10 +302,9 @@ def _finish(draw, filled):
     raise RuntimeError("a trial draw yields once, for its echo noise")
 
 
-def _draw_here(ctx: RunContext, draw):
+def _draw_here(draw):
     """Run a draw to the end on this thread."""
-    rows, fill = next(draw)
-    return _finish(draw, fill(_noise_buffer(ctx, rows)))
+    return _finish(draw, next(draw)())
 
 
 def _estimate_each(ctx: RunContext, draws, estimate) -> list:
@@ -323,35 +312,25 @@ def _estimate_each(ctx: RunContext, draws, estimate) -> list:
     NOISE_WORKERS worker threads run the draws' noise fills.
 
     Each trial owns its generator, so the fills of two trials can run at
-    once.  This thread runs a draw up to its noise and submits its fill
-    with the buffer that trial k's fill uses, buffer k mod NOISE_WORKERS,
-    allocated at its first use with the rows the fill asks for.
+    once.  This thread runs a draw up to its noise and submits its fill.
     It starts the first NOISE_WORKERS draws at once.  Then for each trial
     it waits for its fill, finishes its draw and estimates it, and only
     after the estimate returns does it start the next draw.  So at most
     NOISE_WORKERS fills are in flight, an estimate runs beside at most one
-    fill, and this thread waits only while every worker is filling.  A
-    fill reduces its buffer before it returns, so trial k + NOISE_WORKERS's
-    fill may reuse trial k's buffer.  This thread never touches the
-    generator of a fill in flight, so every value is the one drawn inline.
+    fill, and this thread waits only while every worker is filling.  This
+    thread never touches the generator of a fill in flight, so every value
+    is the one drawn inline.
     """
-    draws = enumerate(draws)
-    # allocated once and reused: a buffer per fill raised the `theory`
-    # benchmark's peak RSS from 66.3 to 78.7-85.7 MB (3 runs, 2 vCPUs)
-    buffers = [None] * NOISE_WORKERS
+    draws = iter(draws)
     ahead: deque = deque()
     out: list = []
     with ThreadPoolExecutor(max_workers=NOISE_WORKERS) as workers:
         def start():
-            k, draw = next(draws, (None, None))
+            draw = next(draws, None)
             if draw is not None:
-                rows, fill = next(draw)
-                slot = k % NOISE_WORKERS
-                if buffers[slot] is None or len(buffers[slot]) != rows:
-                    buffers[slot] = _noise_buffer(ctx, rows)
-                ahead.append((draw, workers.submit(fill, buffers[slot])))
+                ahead.append((draw, workers.submit(next(draw))))
 
-        for _ in buffers:
+        for _ in range(NOISE_WORKERS):
             start()
         while ahead:
             draw, filling = ahead.popleft()
@@ -367,8 +346,8 @@ def draw_sensing_trial(ctx: RunContext, sinr_db: float, scen_seed: int,
                        rng: np.random.Generator,
                        use_true_beam: bool = False) -> SensingDraw:
     """Every random draw of one sensing trial, for `sensing_trial`."""
-    return _draw_here(ctx, _sensing_draw(ctx, sinr_db, scen_seed, rng,
-                                         use_true_beam))
+    return _draw_here(_sensing_draw(ctx, sinr_db, scen_seed, rng,
+                                    use_true_beam))
 
 
 def sensing_trial(ctx: RunContext, draw: SensingDraw) -> dict:
@@ -461,8 +440,8 @@ def draw_ber_trial(ctx: RunContext, csinr_db: float, scen_seed: int,
                    rng: np.random.Generator, mue_x: float = 75.0,
                    qam_order: int = 64) -> BerDraw:
     """Every random draw of one CSI-enhancement trial, for `ber_trial`."""
-    return _draw_here(ctx, _ber_draw(ctx, csinr_db, scen_seed, rng, mue_x,
-                                     qam_order))
+    return _draw_here(_ber_draw(ctx, csinr_db, scen_seed, rng, mue_x,
+                                qam_order))
 
 
 def ber_trial(ctx: RunContext, draw: BerDraw) -> dict:
@@ -569,8 +548,8 @@ def validate_theory(ctx: RunContext, sinr_grid=None,
     draws = (_frame_draw(ctx, scenario, beams, sinr,
                          trial_rng(master_seed, pi + 1, t)[1], True)
              for pi, sinr in enumerate(grid) for t in range(n))
-    # every trial first, so no noise buffer is alive during the per-point
-    # perturbation_report
+    # every trial first, so no echo, frame or noise block is alive during
+    # the per-point perturbation_report
     results = _estimate_each(ctx, draws, sensing_trial)
     rows: list[ResultRow] = []
     for pi, sinr in enumerate(grid):

@@ -45,11 +45,7 @@ def rng():
 def noisy_snapshots():
     """draw(echo, rng, noise): the (PQ, N_c, M_s) tensor of a noiseless
     echo with its noise drawn from rng by the estimated-beam fill, as the
-    sweeps draw it, through a block buffer of NaNs that must not reach
-    the tensor."""
+    sweeps draw it."""
     def draw(echo, rng, noise):
-        rows = min(channel.NOISE_BLOCK_ROWS, len(echo.steering))
-        block = np.full((rows, echo.symbols.size), np.nan)
-        return channel._noisy_snapshots(echo, rng, noise.echo_noise_std,
-                                        block)
+        return channel._noisy_snapshots(echo, rng, noise.echo_noise_std)
     return draw

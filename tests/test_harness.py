@@ -421,7 +421,7 @@ def test_sweeps_equal_inline_trials_under_a_hostile_scheduler():
     ctx = _small_ctx()
 
     def inline(ctx, draws, estimate):
-        return [estimate(ctx, harness._draw_here(ctx, d)) for d in draws]
+        return [estimate(ctx, harness._draw_here(d)) for d in draws]
 
     with pytest.MonkeyPatch.context() as mp:
         expect_calls = _record_trials(mp)
@@ -482,10 +482,10 @@ def test_layer_functions_run_on_the_calling_thread_only(monkeypatch):
     assert {"channel.synthesize_echo", "music.music_aoa", "csi.kalman_enhance",
             "harness.sensing_trial", "harness.ber_trial",
             "theory.perturbation_report"} <= called
-    # one fill per plane for the 12 fixed-beam trials, per block of
-    # NOISE_BLOCK_ROWS = 8 rows for the 4 estimated-beam trials (2 * 2
-    # blocks of the 16 rows of the 4 x 4 array)
-    assert len(fills) == 12 * 2 + 4 * 2 * 2
+    # one fill per block of NOISE_BLOCK_ROWS = 8 rows for each of the 12
+    # fixed-beam and 4 estimated-beam trials (2 planes * 2 blocks of the
+    # 16 rows of the 4 x 4 array)
+    assert len(fills) == 12 * 2 * 2 + 4 * 2 * 2
     assert all(t is not threading.main_thread() for t in fills)
 
 
@@ -587,8 +587,8 @@ def test_config_rejects_mistyped_value(override, path):
 
 
 @pytest.mark.parametrize("section, cls, field, value, rule", [
-    ("waveform", channel.WaveformConfig, "n_subcarriers", 1, ">= 2"),
-    ("waveform", channel.WaveformConfig, "n_symbols", 1, ">= 2"),
+    ("waveform", channel.WaveformConfig, "n_subcarriers", 3, ">= 4"),
+    ("waveform", channel.WaveformConfig, "n_symbols", 3, ">= 4"),
     ("waveform", channel.WaveformConfig, "subcarrier_spacing", 0.0, "> 0"),
     ("waveform", channel.WaveformConfig, "guard_interval", -1e-9, ">= 0"),
     ("waveform", channel.WaveformConfig, "carrier_freq", 0.0, "> 0"),
@@ -654,6 +654,22 @@ def test_config_rejects_a_single_row_or_column(tmp_path, capsys, shape,
     assert cli.main([command, "--config", str(p), "--sinr", "10",
                      "--trials", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {rule}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["n_subcarriers", "n_symbols"])
+def test_spectrum_rejects_a_one_element_smoothing_window(tmp_path, capsys,
+                                                         field):
+    """Three subcarriers or symbols would leave the half-aperture
+    smoothing window of `spectrum` one element, too few for a noise
+    subspace: the config rejects them under the key path, and `spectrum`
+    exits 2 before it writes."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"array": {"rows": 2, "cols": 2},
+                             "waveform": {field: 3}}))
+    out = tmp_path / "res"
+    assert cli.main(["spectrum", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: waveform.{field}: must be >= 4\n"
     assert not out.exists()
 
 

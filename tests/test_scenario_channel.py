@@ -288,6 +288,10 @@ def _per_path_echo(scen, wave, array, beams, noise, rng, noiseless):
 def _numerology(name, small_wave, small_array):
     if name == "small":
         return small_wave, small_array
+    if name == "3x3":
+        lam = small_wave.wavelength()
+        return small_wave, ArrayConfig(rows=3, cols=3, spacing=lam / 2,
+                                       wavelength=lam)
     wave = WaveformConfig()
     lam = wave.wavelength()
     return wave, ArrayConfig(rows=8, cols=8, spacing=lam / 2, wavelength=lam)
@@ -333,26 +337,26 @@ def test_factored_echo_equals_per_path_synthesis(numerology, n_scatterers,
 
 
 @pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
-@pytest.mark.parametrize("numerology", ["default", "small"])
+@pytest.mark.parametrize("numerology", ["default", "small", "3x3"])
 def test_beamform_matches_tensor_contraction(numerology, noiseless,
                                              small_wave, small_array, noise):
     """Each path's beam equals the contraction of the reference tensor to
     1e-12: the noiseless beam, or the fixed-beam fill, which draws the
-    real plane and then the imaginary plane into one buffer and reduces
-    each to the beam.  The fill leaves the generator where the reference
-    leaves it."""
+    real plane and then the imaginary plane NOISE_BLOCK_ROWS rows at a
+    time and adds each block's share to the beam.  The 3 x 3 array's nine
+    rows end in a one-row tail block.  The fill leaves the generator
+    where the reference leaves it."""
     echo, (snapshots, signal, _), rng_new, rng_ref, scen, array = _echo_pair(
         numerology, 2, noiseless, small_wave, small_array, noise)
     y = signal if noiseless else snapshots
+    assert array.size % channel.NOISE_BLOCK_ROWS == (numerology == "3x3")
     for p in scen.paths:
         w = channel.sense_rx_beamformer(array, p.aoa)
         if noiseless:
             got = echo.beamform(w)
         else:
             fill_rng = copy.deepcopy(rng_new)
-            plane = np.full((array.size, echo.symbols.size), np.nan)
-            got = channel._noisy_beam(echo, w, fill_rng, noise.echo_noise_std,
-                                      plane)
+            got = channel._noisy_beam(echo, w, fill_rng, noise.echo_noise_std)
             assert fill_rng.bit_generator.state == rng_ref.bit_generator.state
         want = np.tensordot(w.conj(), y, axes=([0], [0]))
         assert got.shape == want.shape == y.shape[1:]

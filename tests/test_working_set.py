@@ -1,4 +1,4 @@
-"""Working set of the estimated-beam sensing path, traced with tracemalloc
+"""Working set of the sensing and link draws, traced with tracemalloc
 (numpy reports its array buffers to it), and the exactness of the blocked
 AoA covariance.  The covariance tests also run under two BLAS threads,
 where the product is partitioned differently."""
@@ -59,6 +59,26 @@ def test_estimated_beam_draw_holds_the_tensor_and_a_few_blocks(ctx):
     block = channel.NOISE_BLOCK_ROWS * y[0].size * 8
     assert y.shape == (64, 256, 64) and block == 2 ** 20
     assert peak <= y.nbytes + 8 * block, peak
+
+
+@pytest.mark.parametrize("true_beam_draw", [
+    lambda ctx, s, rng: harness.draw_ber_trial(ctx, 20.0, s, rng),
+    lambda ctx, s, rng: harness.draw_sensing_trial(ctx, 10.0, s, rng,
+                                                   use_true_beam=True)],
+    ids=["ber", "true-beam"])
+def test_fixed_beam_draw_holds_no_noise_plane(ctx, true_beam_draw):
+    """A fixed-beam draw at the shipped numerology peaks at its echo's
+    per-path factors, a few (N_c, M_s) frames (the beam, its per-plane
+    sums, a block product, the communication frames) and two
+    NOISE_BLOCK_ROWS blocks of noise, not a (PQ, N_c*M_s) noise plane
+    (8 MiB)."""
+    scen_seed, rng = harness.trial_rng(11, 0, 0)
+    _, peak = _peak(lambda: true_beam_draw(ctx, scen_seed, rng))
+    n_paths = harness._scene(ctx, scen_seed).n_paths
+    frame = ctx.wave.n_subcarriers * ctx.wave.n_symbols * 16
+    block = channel.NOISE_BLOCK_ROWS * frame // 2
+    assert ctx.array.size * frame // 2 == 8 * block == 2 ** 23
+    assert peak <= n_paths * frame + 6 * frame + 2 * block, peak
 
 
 @pytest.mark.parametrize("shape", [(15, 40), (17, 300), (2, 3), (20, 50),
