@@ -88,6 +88,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         _check((self.noise_var > 0, "noise_var: must be > 0"),
+               (np.finfo(float).tiny <= self.noise_var < math.inf,
+                "noise_var: must be a normal float"),
                *((math.isfinite(db_to_power(getattr(self, key))),
                   f"{key}: must be a dB value with a finite linear power")
                  for key in ("inr_sense_db", "inr_comm_db")))
@@ -295,21 +297,26 @@ def synthesize_echo(scenario: Scenario, wave: WaveformConfig,
 
 
 def _complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
-    """CN(0, var) draws: the real parts, then the imaginary parts."""
-    std = np.sqrt(var / 2.0)
-    return std * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    """CN(0, var) draws of a (rows, cols) shape: the real plane, then the
+    imaginary plane, each drawn by `_noise_blocks` into the output, so the
+    draw holds only its output and one block."""
+    out = np.empty(shape, dtype=complex)
+    for imag, rows, block in _noise_blocks(rng, np.sqrt(var / 2.0), *shape):
+        (out.imag if imag else out.real)[rows] = block
+    return out
 
 
-# Rows of echo noise a fill draws at a time, into its own block: 1 MiB at
-# the shipped N_c*M_s = 16 384.
+# Rows of noise a draw fills at a time, into its own block: 1 MiB for the
+# echo at the shipped N_c*M_s = 16 384.
 NOISE_BLOCK_ROWS = 8
 
 
 def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,
                      std: float) -> np.ndarray:
-    """Draw the next `out.size` values of the echo noise into `out`: one
-    block of `_noise_blocks`.  It calls numpy only, so the harness runs
-    it on a worker thread."""
+    """Draw the next `out.size` normals of rng into `out`, scaled by std:
+    one block of `_noise_blocks`.  It calls numpy only, so the harness can
+    run it on a worker thread; it does for the echo fills, while the
+    communication and theory draws run it on the calling thread."""
     rng.standard_normal(out=out)
     out *= std
     return out
@@ -317,12 +324,13 @@ def _fill_echo_noise(rng: np.random.Generator, out: np.ndarray,
 
 def _noise_blocks(rng: np.random.Generator, std: float, rows: int,
                   cols: int):
-    """The echo noise std * (normal + 1j * normal) over (rows, cols),
-    drawn NOISE_BLOCK_ROWS rows at a time into one block it allocates:
-    the real plane, then the imaginary plane, so the values and the
-    generator's end state are those of one draw per plane.  Yields
-    (imag, span, block): 0 for a real block and 1 for an imaginary one,
-    its slice of rows, and its values, which the next block overwrites."""
+    """The noise std * (normal + 1j * normal) over (rows, cols), of the
+    echo fills and of `_complex_normal` alike, drawn NOISE_BLOCK_ROWS rows
+    at a time into one block it allocates: the real plane, then the
+    imaginary plane, so the values and the generator's end state are
+    those of one draw per plane.  Yields (imag, span, block): 0 for a
+    real block and 1 for an imaginary one, its slice of rows, and its
+    values, which the next block overwrites."""
     block = np.empty((min(NOISE_BLOCK_ROWS, rows), cols))
     for imag in (0, 1):
         for i in range(0, rows, NOISE_BLOCK_ROWS):

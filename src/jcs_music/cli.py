@@ -168,6 +168,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: --out: {exc}", file=sys.stderr)
         return 1
+    except ConfigError as exc:      # a key checked where it is read
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

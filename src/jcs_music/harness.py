@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, csi, fft_baseline, music, qam, subspace, theory
-from .config import RunContext
+from .config import ConfigError, RunContext
 from .music import music_aoa, music_doppler, music_range
 from .scenario import Scenario, generate_scenario
 from .steering import Angle2D
@@ -539,8 +539,16 @@ def validate_theory(ctx: RunContext, sinr_grid=None,
     One fixed scenario per run; trials vary noise, symbols, and
     reflection phases only, matching the conditioning of the analytic
     formulas.  The grid and trials default to the config's sweep keys.
+    A point whose linear SINR times the sense noise power is subnormal
+    raises ConfigError before any trial: the perturbation draws divide by
+    the echo's singular values, whose squares scale with that product.
     """
     grid, n = _sweep_points(ctx, sinr_grid, trials)
+    if any(channel.db_to_power(s) * ctx.noise.total_sense_var
+           < np.finfo(float).tiny for s in grid):
+        raise ConfigError("sweep.sinr_grid_db: each linear SINR times the "
+                          "total sense noise variance must be at least the "
+                          "smallest normal float")
     scen_seed, _ = trial_rng(master_seed, 0, 0)
     scenario = _scene(ctx, scen_seed)
     beams = channel.build_beamformers(scenario, ctx.array)

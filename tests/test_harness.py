@@ -464,7 +464,8 @@ def _wrap_layers(mp, on_call) -> None:
 def test_layer_functions_run_on_the_calling_thread_only(monkeypatch):
     """The worker runs numpy only: during every sweep each public function
     of the ten layer modules is called on the main thread, and the echo
-    noise is filled on another."""
+    noise is filled on another.  (The communication and theory noise is
+    drawn by the same block path, on the calling thread.)"""
     called, off_main, fills = set(), [], []
 
     def on_call(name):
@@ -473,19 +474,19 @@ def test_layer_functions_run_on_the_calling_thread_only(monkeypatch):
             off_main.append(name)
 
     _wrap_layers(monkeypatch, on_call)
-    fill = channel._fill_echo_noise
-    monkeypatch.setattr(
-        channel, "_fill_echo_noise",
-        lambda *args: fills.append(threading.current_thread()) or fill(*args))
+    for name in ("_noisy_beam", "_noisy_snapshots"):
+        def fill(*args, _fn=getattr(channel, name)):
+            fills.append(threading.current_thread())
+            return _fn(*args)
+        monkeypatch.setattr(channel, name, fill)
     _all_sweeps(_small_ctx())
     assert off_main == []
     assert {"channel.synthesize_echo", "music.music_aoa", "csi.kalman_enhance",
             "harness.sensing_trial", "harness.ber_trial",
             "theory.perturbation_report"} <= called
-    # one fill per block of NOISE_BLOCK_ROWS = 8 rows for each of the 12
-    # fixed-beam and 4 estimated-beam trials (2 planes * 2 blocks of the
-    # 16 rows of the 4 x 4 array)
-    assert len(fills) == 12 * 2 * 2 + 4 * 2 * 2
+    # one echo fill for each of the 12 fixed-beam and 4 estimated-beam
+    # trials
+    assert len(fills) == 12 + 4
     assert all(t is not threading.main_thread() for t in fills)
 
 
@@ -539,19 +540,21 @@ def test_noise_fills_run_two_ahead_and_one_beside_an_estimate(monkeypatch):
     assert threading.main_thread() not in threads
 
 
-@pytest.mark.parametrize("failing", ["_fill_echo_noise", "estimate"])
+@pytest.mark.parametrize("failing", ["echo_fill", "estimate"])
 @pytest.mark.parametrize("sweep", ["run_sweep_mse", "run_sweep_ber",
                                    "validate_theory"])
 def test_a_failure_is_raised_and_the_worker_joined(monkeypatch, sweep,
                                                    failing):
+    """A failing echo fill on a worker, or a failing estimate on the
+    calling thread, is raised from the sweep, and no worker is left."""
     def fail(*args, **kwargs):
         raise FloatingPointError("trial failed")
 
-    if failing == "estimate":
-        for name in ("sensing_trial", "ber_trial"):
-            monkeypatch.setattr(harness, name, fail)
-    else:
-        monkeypatch.setattr(channel, failing, fail)
+    module, names = ((harness, ("sensing_trial", "ber_trial"))
+                     if failing == "estimate"
+                     else (channel, ("_noisy_beam", "_noisy_snapshots")))
+    for name in names:
+        monkeypatch.setattr(module, name, fail)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="trial failed"):
         getattr(harness, sweep)(_small_ctx(), [0.0, 10.0], 2)
@@ -594,6 +597,7 @@ def test_config_rejects_mistyped_value(override, path):
     ("waveform", channel.WaveformConfig, "carrier_freq", 0.0, "> 0"),
     ("waveform", channel.WaveformConfig, "qam_order", 8, "one of 4, 16, 64"),
     ("noise", channel.NoiseConfig, "noise_var", 0.0, "> 0"),
+    ("noise", channel.NoiseConfig, "noise_var", 1e-320, "a normal float"),
     ("noise", channel.NoiseConfig, "inr_sense_db", 4000.0,
      "a dB value with a finite linear power"),
     ("noise", channel.NoiseConfig, "inr_comm_db", 3083.0,
@@ -867,9 +871,22 @@ def _cli_exit(argv):
 ] + [([command, "--sinr", "3100"],
       "--sinr" if command == "sweep-ber" else "sweep.sinr_grid_db")
      for command in ("sweep-mse", "sweep-ber", "crb", "validate-theory",
-                     "spectrum")])
+                     "spectrum")] + [
+    # a config, written to a file: a subnormal noise floor, and an S-SINR
+    # whose product with the noise power is subnormal, which overflowed
+    # the theory's draws
+    (["validate-theory", {"noise": {"noise_var": 1e-320}}],
+     "noise.noise_var: must be a normal float"),
+    (["validate-theory", {"sweep": {"sinr_grid_db": [-3000.0]}}],
+     "sweep.sinr_grid_db: each linear SINR times"),
+])
 def test_cli_rejects_bad_flags(argv, named, tmp_path, capsys):
     out = tmp_path / "res"
+    cfg = tmp_path / "cfg.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+            argv = argv[:i] + ["--config", str(cfg)] + argv[i + 1:]
     assert _cli_exit(argv + ["--out", str(out)]) == 2
     err = [line for line in capsys.readouterr().err.splitlines()
            if "error:" in line]

@@ -460,6 +460,22 @@ def test_comm_los_magnitude_constant(wave, array, noise, rng):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("shape", [(256, 2000), (256, 64), (13, 7), (1, 5)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_complex_normal_equals_the_one_line_draw(shape):
+    """The block-drawn CN(0, var) equals, bit for bit, the one-line
+    expression it replaced, also when the rows are not a whole number of
+    NOISE_BLOCK_ROWS blocks (13 rows) or fewer than one (1 row), and
+    leaves the generator where that expression left it."""
+    var = 3.7e-11
+    ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+    std = np.sqrt(var / 2.0)
+    want = std * (ref.normal(size=shape) + 1j * ref.normal(size=shape))
+    got = channel._complex_normal(rng, shape, var)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_comm_nlos_needs_reflections(wave, array):
     scen = generate_scenario(2, n_scatterers=1)
     beams = channel.build_beamformers(scen, array)

@@ -1,14 +1,14 @@
-"""Working set of the sensing and link draws, traced with tracemalloc
-(numpy reports its array buffers to it), and the exactness of the blocked
-AoA covariance.  The covariance tests also run under two BLAS threads,
-where the product is partitioned differently."""
+"""Working set of the sensing and link draws and of the theory report,
+traced with tracemalloc (numpy reports its array buffers to it), and the
+exactness of the blocked AoA covariance.  The covariance tests also run
+under two BLAS threads, where the product is partitioned differently."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from jcs_music import channel, harness, music
+from jcs_music import channel, harness, music, theory
 from jcs_music.subspace import covariance
 
 
@@ -79,6 +79,24 @@ def test_fixed_beam_draw_holds_no_noise_plane(ctx, true_beam_draw):
     block = channel.NOISE_BLOCK_ROWS * frame // 2
     assert ctx.array.size * frame // 2 == 8 * block == 2 ** 23
     assert peak <= n_paths * frame + 6 * frame + 2 * block, peak
+
+
+def test_perturbation_report_holds_one_draw_and_a_block(ctx):
+    """A perturbation report of 2000 draws at the shipped numerology
+    peaks near its largest noise draw, the (N_c, 2000) complex matrix of
+    the range draws (7.8 MiB): the draw is filled one NOISE_BLOCK_ROWS
+    block per plane at a time, so no real plane, sum or scaled copy of
+    it is held beside it."""
+    scen_seed, _ = harness.trial_rng(7, 0, 0)
+    scenario = harness._scene(ctx, scen_seed)
+    beams = channel.build_beamformers(scenario, ctx.array)
+    p_tx = channel.calibrate_power_sense(scenario, ctx.wave, beams,
+                                         ctx.noise, 10.0)
+    _, peak = _peak(lambda: theory.perturbation_report(
+        scenario, ctx.wave.with_power(p_tx), ctx.array, beams, ctx.noise,
+        n_draws=2000))
+    draw = ctx.wave.n_subcarriers * 2000 * 16
+    assert peak <= 1.35 * draw, peak
 
 
 @pytest.mark.parametrize("shape", [(15, 40), (17, 300), (2, 3), (20, 50),
